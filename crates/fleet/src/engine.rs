@@ -34,7 +34,7 @@ use crate::{
     place, replace_after_loss, route_epoch, FleetChipReport, FleetError, FleetReport, FleetTenant,
     FleetTenantReport, FleetTopology, RollPlan, RollState, RouterState,
 };
-use dtu_compiler::Fnv1a;
+use dtu_compiler::{Fnv1a, Placement};
 use dtu_faults::{FaultEvent, FaultKind, FaultPlan};
 use dtu_harness::{ExperimentPlan, HarnessError, SessionCache};
 use dtu_serve::{
@@ -42,8 +42,10 @@ use dtu_serve::{
     LiveMonitor, RetryPolicy, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy,
     TenantSpec,
 };
-use dtu_sim::{AnalyticBackend, AnalyticTiming, Chip, SimError};
+use dtu_sim::{AnalyticBackend, AnalyticTiming, Chip, GroupId, SimError};
 use dtu_telemetry::LogHistogram;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A scheduled whole-chip failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,6 +199,40 @@ fn chip_serve_config(
     }
 }
 
+/// One chip's run-scoped service-latency memo: (tenant, batch, sorted
+/// groups) → latency, ms. The latency is a pure function of the chip
+/// (with its timing backend, fixed for the run), the tenant's model,
+/// the batch, and the group set, so every epoch of a run shares it. It is per chip, not per chip config: a chip's first
+/// lookup of a session still goes to the shared [`SessionCache`],
+/// where identical chips share one compiled program.
+type LatencyMemo = Mutex<HashMap<(usize, usize, Vec<GroupId>), f64>>;
+
+/// A tenant's compiled model behind its chip's [`LatencyMemo`]: a memo
+/// hit skips the graph build, the cache lookup, and the timing walk.
+struct MemoModel<'a> {
+    tenant: usize,
+    memo: &'a LatencyMemo,
+    inner: CompiledModel<'a>,
+}
+
+impl ServiceModel for MemoModel<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn service_ms(&mut self, batch: usize, placement: &Placement) -> Result<f64, ServeError> {
+        let mut groups = placement.groups().to_vec();
+        groups.sort_unstable();
+        let key = (self.tenant, batch, groups);
+        if let Some(&ms) = self.memo.lock().expect("latency memo lock").get(&key) {
+            return Ok(ms);
+        }
+        let ms = self.inner.service_ms(batch, placement)?;
+        self.memo.lock().expect("latency memo lock").insert(key, ms);
+        Ok(ms)
+    }
+}
+
 fn job_err(label: &str) -> impl Fn(ServeError) -> HarnessError + '_ {
     move |e| HarnessError::Job {
         label: label.to_string(),
@@ -204,11 +240,14 @@ fn job_err(label: &str) -> impl Fn(ServeError) -> HarnessError + '_ {
     }
 }
 
-/// Runs one chip's slice of one epoch: compiles the assigned tenants'
-/// models through the shared cache, serves the epoch, and reduces the
-/// outcome to per-tenant slices. A whole-chip kill that aborts the run
-/// is retried truncated at the kill time (same seed, identical arrival
-/// prefix) so the dead chip's accounting closes exactly.
+/// Runs one chip's slice of one epoch: serves the epoch and reduces the
+/// outcome to per-tenant slices. Each dispatch is priced from the
+/// chip's run-scoped `memo` when an earlier epoch (or dispatch) already
+/// priced that (tenant, batch, group set); only a memo miss builds the
+/// graph, fetches the program from the shared cache, and walks it. A
+/// whole-chip kill that aborts the run is retried truncated at the kill
+/// time (same seed, identical arrival prefix, same memo) so the dead
+/// chip's accounting closes exactly.
 ///
 /// `monitor_base` attaches a [`LiveMonitor`] whose span labels and
 /// exemplars carry the given fleet trace base. The monitored run is
@@ -228,6 +267,7 @@ fn run_chip_epoch(
     monitor_base: Option<u64>,
     cache: &SessionCache,
     timing: Option<&AnalyticTiming>,
+    memo: &LatencyMemo,
 ) -> Result<ChipEpochOutcome, HarnessError> {
     let fleet_chip = topology.chip(chip_idx);
     let chip_cfg = &fleet_chip.config;
@@ -235,7 +275,7 @@ fn run_chip_epoch(
     let chip = Chip::new(chip_cfg.clone());
     // Declared before the models so the backend outlives their borrows.
     let backend = timing.map(|t| AnalyticBackend::new(t.clone()));
-    let mut models: Vec<CompiledModel<'_>> = assignment
+    let mut models: Vec<MemoModel<'_>> = assignment
         .iter()
         .map(|&(t, _)| {
             let spec = &tenants[t];
@@ -244,7 +284,11 @@ fn run_chip_epoch(
             if let Some(b) = backend.as_ref() {
                 m = m.with_timing(b);
             }
-            m
+            MemoModel {
+                tenant: t,
+                memo,
+                inner: m,
+            }
         })
         .collect();
 
@@ -554,6 +598,10 @@ fn run_fleet_inner(
     let mut alive = vec![true; n];
     let mut router = RouterState::new(n);
     let mut roll_state = cfg.roll.as_ref().map(|p| RollState::new(n, p));
+    // One chip's epochs run in sequence across the epoch barrier, so
+    // each memo has one user at a time and fills the same way for any
+    // `jobs`.
+    let memos: Vec<LatencyMemo> = (0..n).map(|_| LatencyMemo::default()).collect();
     let mut chip_accum = vec![ChipAccum::default(); n];
     let mut tenant_accum = vec![TenantAccum::default(); tenants.len()];
     let mut routed_cells = 0u64;
@@ -636,6 +684,7 @@ fn run_fleet_inner(
                 .map(|(_, offset)| offset);
             let monitor_base = monitor.as_ref().map(|_| trace_base(epoch, chip));
             let timing = timings.map(|ts| &ts[chip]);
+            let memo = &memos[chip];
             plan.add_point(
                 key.finish(),
                 format!("chip{chip} e{epoch}"),
@@ -652,6 +701,7 @@ fn run_fleet_inner(
                         monitor_base,
                         cache,
                         timing,
+                        memo,
                     )
                 },
             );

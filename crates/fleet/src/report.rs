@@ -8,7 +8,10 @@
 //! compile, making hit counts schedule-dependent — see
 //! `SessionCache::compile_session`). The cache delta *is* carried on
 //! the struct and shown by [`FleetReport::to_table`], where humans
-//! want it and byte-identity is not promised.
+//! want it and byte-identity is not promised. It counts one lookup per
+//! distinct (chip, tenant, batch, placement) per run, not one per
+//! chip-epoch: the engine's run-scoped latency memo answers every
+//! later dispatch of a session the chip has already priced.
 
 use dtu_harness::CacheStats;
 use dtu_telemetry::json::{array, number, JsonObject};
@@ -118,7 +121,8 @@ pub struct FleetReport {
     pub tenants: Vec<FleetTenantReport>,
     /// Per-chip breakdown.
     pub chips_detail: Vec<FleetChipReport>,
-    /// Session-cache delta attributable to this run (table-only:
+    /// Session-cache delta attributable to this run: one lookup per
+    /// distinct (chip, tenant, batch, placement) session (table-only:
     /// compile races make it schedule-dependent, so it is excluded
     /// from the byte-identical JSON).
     pub cache: CacheStats,
@@ -186,8 +190,9 @@ impl FleetReport {
             .build()
     }
 
-    /// A human-readable fixed-width table (includes the cache delta,
-    /// which the JSON deliberately omits).
+    /// A human-readable fixed-width table (includes the cache delta —
+    /// one lookup per session the run priced, per chip — which the JSON
+    /// deliberately omits).
     pub fn to_table(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();

@@ -111,21 +111,13 @@ impl ServiceModel for AnalyticModel {
     }
 }
 
-/// Cache key: one compiled session per (batch, placement).
+/// Cache key: one compiled session per (batch, placement). Groups are
+/// sorted, so every order of one group set shares a session (compiled
+/// latency does not depend on the order; a unit test pins this).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SessionKey {
     batch: usize,
     groups: Vec<GroupId>,
-}
-
-/// One cached compiled session.
-#[derive(Debug)]
-struct CachedSession {
-    /// Kept so a future PR can replay the program (timelines, energy);
-    /// the serving engine itself only needs the measured latency.
-    #[allow(dead_code)]
-    program: Program,
-    service_ms: f64,
 }
 
 /// Hit/miss accounting for the session cache.
@@ -141,12 +133,13 @@ pub struct CacheStats {
 ///
 /// Holds a graph builder (batch size → graph), compiles one session
 /// per distinct (batch, placement) it is asked about, simulates it once
-/// to measure the deterministic service latency, and caches the result.
+/// to measure the deterministic service latency, and caches that
+/// latency (the program itself is dropped once priced).
 pub struct CompiledModel<'c> {
     chip: &'c Chip,
     name: String,
     build: Box<dyn Fn(usize) -> Result<Graph, ServeError> + 'c>,
-    cache: HashMap<SessionKey, CachedSession>,
+    cache: HashMap<SessionKey, f64>,
     source: Option<&'c dyn ProgramSource>,
     timing: Option<&'c dyn TimingBackend>,
     stats: CacheStats,
@@ -244,9 +237,9 @@ impl ServiceModel for CompiledModel<'_> {
         let mut groups = placement.groups().to_vec();
         groups.sort_unstable();
         let key = SessionKey { batch, groups };
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(&service_ms) = self.cache.get(&key) {
             self.stats.hits += 1;
-            return Ok(hit.service_ms);
+            return Ok(service_ms);
         }
         self.stats.misses += 1;
         let graph = (self.build)(batch)?;
@@ -267,13 +260,7 @@ impl ServiceModel for CompiledModel<'_> {
             Some(backend) => backend.run(self.chip, &program)?.latency_ms(),
             None => self.chip.run(&program)?.latency_ms(),
         };
-        self.cache.insert(
-            key,
-            CachedSession {
-                program,
-                service_ms,
-            },
-        );
+        self.cache.insert(key, service_ms);
         Ok(service_ms)
     }
 }
@@ -282,6 +269,7 @@ impl ServiceModel for CompiledModel<'_> {
 mod tests {
     use super::*;
     use dtu_graph::{Op, TensorType};
+    use dtu_models::Model;
     use dtu_sim::ChipConfig;
 
     fn toy(batch: usize) -> Graph {
@@ -326,6 +314,39 @@ mod tests {
         m.service_ms(4, &p0).unwrap();
         assert_eq!(m.cached_sessions(), 3);
         assert!(a > 0.0);
+    }
+
+    /// The session key sorts a placement's groups, so the latency of
+    /// the first order seen answers for every order of the same set.
+    /// Pin that assumption on real models: a fresh model per order (no
+    /// memo in play) prices a cross-cluster placement bit-identically
+    /// whatever order its groups are listed in.
+    #[test]
+    fn compiled_latency_is_independent_of_group_order() {
+        let chip = Chip::new(ChipConfig::dtu20());
+        let (a, b, c) = (GroupId::new(0, 1), GroupId::new(1, 0), GroupId::new(1, 2));
+        let orders = [vec![a, b, c], vec![c, b, a], vec![b, c, a], vec![c, a, b]];
+        for (model, batch) in [(Model::Resnet50, 4), (Model::BertLarge, 1)] {
+            let latencies: Vec<f64> = orders
+                .iter()
+                .map(|groups| {
+                    let placement = Placement::explicit(groups.clone());
+                    CompiledModel::new(&chip, model.name(), |b| model.build(b))
+                        .service_ms(batch, &placement)
+                        .unwrap()
+                })
+                .collect();
+            assert!(latencies[0] > 0.0);
+            for (groups, ms) in orders.iter().zip(&latencies) {
+                assert_eq!(
+                    ms.to_bits(),
+                    latencies[0].to_bits(),
+                    "{} batch {batch}: order {groups:?} priced {ms} ms, first order {} ms",
+                    model.name(),
+                    latencies[0]
+                );
+            }
+        }
     }
 
     #[test]

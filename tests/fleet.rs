@@ -1,13 +1,18 @@
 //! Fleet-layer integration tests: routing determinism across worker
 //! counts and cache temperature, the power-of-two-choices balance
 //! bound, chip-loss accounting, compile sharing through the
-//! content-addressed session cache, and rolling-deploy availability.
+//! content-addressed session cache, the run-scoped service-latency
+//! memo, and rolling-deploy availability.
 
-use dtu_fleet::{run_fleet, ChipKill, FleetConfig, FleetTenant, FleetTopology, RollPlan};
+use dtu_fleet::{
+    run_fleet, run_fleet_monitored, ChipKill, FleetChip, FleetConfig, FleetTenant, FleetTopology,
+    RollPlan,
+};
 use dtu_graph::{Graph, Op, TensorType};
 use dtu_harness::{SessionCache, SweepModel};
 use dtu_sim::ChipConfig;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn toy_model() -> SweepModel<'static> {
     SweepModel::new("toy", |batch| {
@@ -15,6 +20,17 @@ fn toy_model() -> SweepModel<'static> {
         let x = g.input("x", TensorType::fixed(&[batch, 16, 24, 24]));
         let c = g.add_node(Op::conv2d(16, 3, 1, 1), vec![x]).unwrap();
         g.mark_output(c);
+        g
+    })
+}
+
+fn wide_model() -> SweepModel<'static> {
+    SweepModel::new("wide", |batch| {
+        let mut g = Graph::new("wide");
+        let x = g.input("x", TensorType::fixed(&[batch, 32, 16, 16]));
+        let c = g.add_node(Op::conv2d(32, 3, 1, 1), vec![x]).unwrap();
+        let r = g.add_node(Op::Relu, vec![c]).unwrap();
+        g.mark_output(r);
         g
     })
 }
@@ -165,4 +181,116 @@ fn rolling_deploy_reports_availability_during_the_roll() {
         .expect("traffic arrived during the roll");
     assert!(avail > 0.0 && avail <= 1.0);
     assert!(r.accounting_balances());
+}
+
+/// Four DTU 2.0 chips whose configs differ only by name. The name is
+/// part of every session fingerprint, so no two chips share a cache
+/// entry: after a cold run the cache's entry count is an independent
+/// tally of the distinct (chip, tenant, batch, placement) sessions the
+/// run looked up.
+fn named_chips() -> FleetTopology {
+    let chips = (0..4)
+        .map(|i| {
+            let mut config = ChipConfig::dtu20();
+            config.name = format!("{} #{i}", config.name);
+            FleetChip {
+                card: 0,
+                slot: i,
+                config,
+            }
+        })
+        .collect();
+    FleetTopology::from_chips(chips).unwrap()
+}
+
+/// Two tenants on twenty 500 ms epochs with a one-chip-per-epoch roll.
+fn memo_cfg() -> FleetConfig {
+    FleetConfig {
+        duration_ms: 10_000.0,
+        epoch_ms: 500.0,
+        roll: Some(RollPlan::new(1000.0, 1)),
+        ..tiny_cfg(13)
+    }
+}
+
+fn two_tenants() -> Vec<FleetTenant<'static>> {
+    vec![
+        FleetTenant::new(toy_model(), 1600.0),
+        FleetTenant::new(wide_model(), 900.0),
+    ]
+}
+
+/// The run-scoped latency memo prices each (chip, tenant, batch,
+/// placement) once per run: later epochs on the same chip never go back
+/// to the session cache. So the run makes fewer cache lookups than it
+/// runs chip-epochs (each of which used to look up every session it
+/// dispatched), and exactly one lookup per distinct session.
+#[test]
+fn latency_memo_looks_up_each_session_once_per_run() {
+    let topo = named_chips();
+    let cfg = memo_cfg();
+    let cache = SessionCache::memory_only();
+    let (report, mut fm) = run_fleet_monitored(&topo, &two_tenants(), &cfg, &cache, 1).unwrap();
+    assert!(report.accounting_balances());
+    assert_eq!(report.epochs, 20);
+    assert_eq!(report.chips_rolled, 4);
+
+    // Chip-epochs with traffic, read back from the routing markers
+    // ("route e<epoch> <tenant>-><chip> ...") a flight dump carries.
+    fm.snapshot_chip(0, "memo audit");
+    let dump = fm.dumps().last().expect("snapshot dumps");
+    let served: BTreeSet<(String, String)> = dump
+        .spans
+        .iter()
+        .filter_map(|s| {
+            let rest = s.label.strip_prefix("route e")?;
+            let (epoch, rest) = rest.split_once(' ')?;
+            let chip = rest.split_once("->")?.1.split_once(' ')?.0;
+            Some((epoch.to_string(), chip.to_string()))
+        })
+        .collect();
+    assert!(
+        served.len() >= 60,
+        "most chip-epochs carry traffic: {served:?}"
+    );
+
+    let lookups = report.cache.lookups();
+    assert!(
+        lookups < served.len() as u64,
+        "{lookups} lookups for {} chip-epochs with traffic",
+        served.len()
+    );
+    assert_eq!(
+        lookups,
+        cache.memory_entries() as u64,
+        "one lookup per distinct (chip, tenant, batch, placement) session"
+    );
+    assert_eq!(
+        report.cache.misses, lookups,
+        "a cold cache misses each once"
+    );
+}
+
+/// A mid-epoch chip kill re-runs the epoch truncated, reusing the
+/// chip's memo; the report stays byte-identical across worker counts.
+#[test]
+fn latency_memo_keeps_kill_runs_identical_across_jobs() {
+    let topo = FleetTopology::homogeneous(1, 4, &ChipConfig::dtu20()).unwrap();
+    let cfg = FleetConfig {
+        kill: Some(ChipKill {
+            chip: 1,
+            at_ms: 5250.0,
+        }),
+        ..memo_cfg()
+    };
+    let j1 = run_fleet(&topo, &two_tenants(), &cfg, &SessionCache::memory_only(), 1).unwrap();
+    let j4 = run_fleet(&topo, &two_tenants(), &cfg, &SessionCache::memory_only(), 4).unwrap();
+    assert_eq!(j1.chips_lost, 1);
+    assert!(j1.chips_detail[1].dead);
+    assert!(
+        j1.chips_detail[1].offered > 0,
+        "the chip served before dying"
+    );
+    assert!(j1.accounting_balances());
+    assert_eq!(j1.to_json(), j4.to_json());
 }

@@ -81,6 +81,17 @@ r = json.load(open(sys.argv[1]))
 assert r["accounting_balanced"] is True, "fleet accounting leaked"
 assert r["offered"] > 0 and r["completed"] > 0, "fleet served nothing"
 PY
+# A longer two-tenant run with a mid-run chip kill: ten epochs reuse
+# each chip's run-scoped latency memo, and the killed chip's truncated
+# re-run reuses it too; the report must stay byte-identical across
+# worker counts.
+./target/release/topsexec fleet --models resnet50,bert --chips 4 \
+    --duration 10000 --kill-chip 1 --kill-at 5500 --jobs 1 \
+    --no-disk-cache > "$trace_dir/fleet_long_j1.json"
+./target/release/topsexec fleet --models resnet50,bert --chips 4 \
+    --duration 10000 --kill-chip 1 --kill-at 5500 --jobs 4 \
+    --no-disk-cache > "$trace_dir/fleet_long_j4.json"
+cmp "$trace_dir/fleet_long_j1.json" "$trace_dir/fleet_long_j4.json"
 
 # The generative serving path end to end: the continuous batcher must
 # emit valid, accounting-balanced JSON with real decode work, and the
