@@ -15,12 +15,19 @@
 //!   worker threads of a process;
 //! * **disk** — optional, one JSON file per program (see
 //!   `dtu_sim::program_to_json`) under a directory such as
-//!   `target/dtu-cache/`, serving repeats across processes. Artifacts
-//!   are self-invalidating: the key is the file name, so any input
-//!   change produces a different name, and a corrupt or truncated file
-//!   fails to parse and is treated as a miss (then overwritten by the
-//!   recompiled artifact). Disk writes are best-effort; an unwritable
-//!   cache directory degrades to memory-only behaviour.
+//!   `target/dtu-cache/`, serving repeats across processes. The tier
+//!   pays off only while decoding stays well under a recompile: over
+//!   the 40 Table III programs the single-pass codec decodes in about
+//!   0.3× compile time (`program_io.decode_over_compile` in
+//!   `perfbench`). Artifacts are
+//!   self-invalidating: the key is the file name, so any input change
+//!   produces a different name, and a corrupt or truncated file fails
+//!   to parse and is treated as a miss (then overwritten by the
+//!   recompiled artifact). Writes go to a temp file unique to the
+//!   process and the store, then rename into place, so concurrent
+//!   writers of one key (threads or processes) never tear an
+//!   artifact. Disk writes are best-effort; an unwritable cache
+//!   directory degrades to memory-only behaviour.
 //!
 //! Hits and misses are exported both as plain [`CacheStats`] and as
 //! `dtu-telemetry` counters ([`Counter::SessionCacheHits`] /
@@ -38,6 +45,7 @@ use dtu_sim::{program_from_json, program_to_json, ChipConfig, Program};
 use dtu_telemetry::{Counter, CounterSet};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Version of the on-disk artifact schema, embedded in file names.
@@ -45,6 +53,10 @@ use std::sync::{Arc, Mutex};
 /// Bumping it orphans (rather than misreads) artifacts written by
 /// older builds; stale files are simply never looked up again.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
+
+/// Process-wide sequence number for artifact temp files, so two
+/// threads storing the same key never write the same temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Where a compiled session came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,8 +270,11 @@ impl SessionCache {
         }
         // Write-then-rename so a concurrent reader never sees a
         // half-written artifact (it sees either nothing or the whole
-        // file; a torn leftover tmp file is ignored by lookups).
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        // file; a torn leftover tmp file is ignored by lookups). The
+        // temp name is unique per process *and* per store, so
+        // concurrent writers of one key each rename a whole file.
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
         if std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
@@ -428,6 +443,64 @@ mod tests {
             .compile_session(&accel, &toy(1), &SessionOptions::default())
             .unwrap();
         assert_eq!(healed, CacheOutcome::DiskHit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_never_expose_a_torn_artifact() {
+        use dtu_sim::{Command, GroupId, Stream};
+        use std::sync::atomic::AtomicBool;
+        let dir = temp_dir("concurrent");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Large enough (~1 MB of JSON) that writes take a while.
+        let mut program = Program::new("concurrent");
+        let mut stream = Stream::new(GroupId::new(0, 0));
+        for event in 0..40_000 {
+            stream.push(Command::Signal { event });
+        }
+        program.add_stream(stream);
+        let cache = SessionCache::with_disk(&dir);
+        let path = cache.artifact_path(42).unwrap();
+        let writing = AtomicBool::new(true);
+        // Release writers and readers at once so their file operations
+        // overlap.
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for _ in 0..16 {
+                            cache.store_artifact(42, &program);
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    start.wait();
+                    while writing.load(Ordering::Relaxed) {
+                        if let Ok(text) = std::fs::read_to_string(&path) {
+                            assert!(
+                                program_from_json(&text).is_ok(),
+                                "a reader saw a torn artifact ({} bytes)",
+                                text.len()
+                            );
+                        }
+                    }
+                });
+            }
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            writing.store(false, Ordering::Relaxed);
+        });
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [format!("{:016x}.v{CACHE_FORMAT_VERSION}.json", 42)]);
+        assert_eq!(cache.load_artifact(42).as_ref(), Some(&program));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

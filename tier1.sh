@@ -27,20 +27,26 @@ assert len({e["pid"] for e in spans}) >= 3, "trace must cover >= 3 layers"
 PY
 
 # The parallel experiment engine end to end: a cold sweep populates the
-# compiled-session cache, a warm sweep must hit it and emit valid JSON.
+# compiled-session cache; a warm sweep in a new process must decode
+# every point from the disk tier, compile nothing, and report exactly
+# the cold sweep's numbers.
 ./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
     --cache-dir "$trace_dir/cache" --format json > "$trace_dir/cold.json"
 ./target/release/topsexec sweep --models resnet50 --batches 1,2 --jobs 4 \
     --cache-dir "$trace_dir/cache" --format json > "$trace_dir/warm.json"
-python3 - "$trace_dir/warm.json" <<'PY'
+python3 - "$trace_dir/cold.json" "$trace_dir/warm.json" <<'PY'
 import json, sys
-report = json.load(open(sys.argv[1]))
-points = report["points"]
+cold, warm = (json.load(open(path)) for path in sys.argv[1:3])
+points = warm["points"]
 assert len(points) == 2, f"expected 2 grid points, got {len(points)}"
 assert all(p["latency_ms"] > 0 for p in points), "latencies must be positive"
-cache = report["cache"]
-hits = cache["memory_hits"] + cache["disk_hits"]
-assert hits >= 1, f"warm sweep must hit the session cache, stats: {cache}"
+cache = warm["cache"]
+assert cache["disk_hits"] == 2 and cache["misses"] == 0, \
+    f"warm sweep must decode every point from disk, stats: {cache}"
+keys = ("model", "batch", "latency_ms", "throughput_sps", "energy_j")
+same = [tuple(p[k] for k in keys) for p in cold["points"]] == \
+    [tuple(p[k] for k in keys) for p in points]
+assert same, "disk-cache hits changed the sweep's numbers"
 PY
 # The analytic timing fast path end to end: `--timing both` runs the
 # interpreter and the calibrated analytic backend over the same grid
