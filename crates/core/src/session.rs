@@ -229,9 +229,9 @@ impl<'a> Session<'a> {
     }
 
     /// Runs the compiled program through an explicit timing backend —
-    /// [`dtu_sim::InterpretedBackend`] matches [`Session::run`]
-    /// byte-for-byte; [`dtu_sim::AnalyticBackend`] prices the program
-    /// from calibrated coefficients instead of interpreting it.
+    /// the seam a wrapper around the interpreter (e.g. one that records
+    /// a span per walk) plugs into. A backend that delegates to
+    /// [`dtu_sim::Chip::run`] matches [`Session::run`] byte-for-byte.
     ///
     /// # Errors
     ///

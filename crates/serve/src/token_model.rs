@@ -373,31 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_timing_prices_token_steps_close_to_interpreter() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let backend = dtu_sim::AnalyticBackend::calibrated(chip.config()).unwrap();
-        let w = GenerativeModel::new(GenerativeConfig::tiny(), 64);
-        let mut interp = CompiledTokenModel::new(&chip, w.clone(), 64);
-        let mut fast = CompiledTokenModel::new(&chip, w, 64).with_timing(&backend);
-        let pairs = [
-            (
-                interp.prefill_ms(2, 64).unwrap(),
-                fast.prefill_ms(2, 64).unwrap(),
-            ),
-            (
-                interp.decode_ms(2, 64).unwrap(),
-                fast.decode_ms(2, 64).unwrap(),
-            ),
-        ];
-        for (a, b) in pairs {
-            assert!(
-                ((a - b) / a).abs() < 0.05,
-                "interpreted {a} ms vs analytic {b} ms"
-            );
-        }
-    }
-
-    #[test]
     fn prefill_only_adapter_serves_like_a_single_shot_model() {
         let mut m = PrefillOnly::new(AnalyticTokenModel::new("gen"), 128);
         let p = Placement::explicit(vec![GroupId::new(0, 0)]);

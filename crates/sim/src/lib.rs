@@ -59,7 +59,5 @@ pub use program_io::{program_from_json, program_to_json, ProgramIoError};
 pub use report::{EngineCounters, RunReport};
 pub use spu::{Spu, SpuError};
 pub use sync::{SyncEngine, SyncError, SyncPattern};
-pub use timing::{
-    AnalyticBackend, AnalyticTiming, InterpretedBackend, TimingBackend, CALIBRATION_VERSION,
-};
+pub use timing::TimingBackend;
 pub use vector_engine::{VectorEngine, VECTOR_LANES_FP32};

@@ -1,47 +1,18 @@
-//! Pluggable timing backends: the event-driven interpreter and a
-//! calibrated analytical fast path.
+//! The timing seam: "run a [`Program`], produce a [`RunReport`]".
 //!
-//! [`TimingBackend`] abstracts "run a [`Program`], produce a
-//! [`RunReport`]". Two implementations ship:
-//!
-//! * [`InterpretedBackend`] — delegates to [`Chip::run`], byte-identical
-//!   to calling the interpreter directly;
-//! * [`AnalyticBackend`] — prices whole programs from a set of per-class
-//!   cost coefficients ([`AnalyticTiming`]) recovered by running the
-//!   interpreter over a small probe grid ([`AnalyticTiming::calibrate`]).
-//!
-//! The calibration is *exact-form*: each probe isolates one term of the
-//! interpreter's cost model (MAC roofline slope and ramp constant, vector
-//! and SFU rates, launch overhead, skinny-tile penalty curve, L2/L3
-//! transfer rates, instruction-load rate, per-path DMA bandwidth and
-//! configuration constants), so the fitted coefficients reproduce the
-//! interpreter to floating-point rounding. The analytic walk replays the
-//! same round-robin schedule — including the CPME/LPME/DVFS power loops,
-//! which measurably shift latency (up to ~6% on Conformer) and therefore
-//! cannot be approximated away under a 5% error bound — but replaces every
-//! interpreter cost query with a fitted closed form. Faults and telemetry
-//! recording are not supported on the fast path; use the interpreter when
-//! you need them, or when validating the analytic model itself.
+//! The simulator has one timing model, the interpreter behind
+//! [`Chip::run`]. [`TimingBackend`] is the seam callers plug a wrapper
+//! into — e.g. a span-recording walk that delegates to [`Chip::run`] —
+//! without changing what gets priced.
 
 use crate::chip::{Chip, SimError};
-use crate::config::ChipConfig;
-use crate::dma::{DmaDescriptor, DmaEngine, DmaPath, MemLevel};
-use crate::icache::{FetchOutcome, InstructionCache};
-use crate::program::{Command, GroupId, Program, Stream};
-use crate::report::{EngineCounters, RunReport};
-use crate::sync::{SyncEngine, SyncPattern};
-use dtu_isa::{DataType, KernelDescriptor, KernelId, OpClass};
-use dtu_power::{Cpme, EnergyAccount, Lpme, LpmeAction, UnitId, WindowObservation};
-use dtu_telemetry::json::{number, JsonObject};
-
-/// Version of the calibration probe grid and coefficient layout. Bump
-/// when either changes so cached calibrations are invalidated.
-pub const CALIBRATION_VERSION: u32 = 1;
+use crate::program::Program;
+use crate::report::RunReport;
 
 /// A timing backend: something that can execute a [`Program`] on a
 /// [`Chip`] and produce a [`RunReport`].
 pub trait TimingBackend {
-    /// Short stable name ("interpreted", "analytic") for reports and CLI.
+    /// Short stable name (e.g. "interpreted") for reports.
     fn name(&self) -> &'static str;
 
     /// Runs `program` on `chip`.
@@ -50,1039 +21,4 @@ pub trait TimingBackend {
     ///
     /// As for [`Chip::run`].
     fn run(&self, chip: &Chip, program: &Program) -> Result<RunReport, SimError>;
-}
-
-/// The event-driven interpreter, behind the backend trait.
-///
-/// `InterpretedBackend.run(chip, p)` is exactly `chip.run(p)`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InterpretedBackend;
-
-impl TimingBackend for InterpretedBackend {
-    fn name(&self) -> &'static str {
-        "interpreted"
-    }
-
-    fn run(&self, chip: &Chip, program: &Program) -> Result<RunReport, SimError> {
-        chip.run(program)
-    }
-}
-
-/// DMA path classes with distinct bandwidth/configuration coefficients.
-const DMA_CLASSES: usize = 3;
-const DMA_PCIE: usize = 0;
-const DMA_L3: usize = 1;
-const DMA_L2: usize = 2;
-
-fn dma_class(path: DmaPath) -> usize {
-    if path.crosses_pcie() {
-        DMA_PCIE
-    } else if path.touches_l3() {
-        DMA_L3
-    } else {
-        DMA_L2
-    }
-}
-
-/// Calibrated cost coefficients for one [`ChipConfig`].
-///
-/// All compute rates are datatype-normalised (fitted with FP32 probes,
-/// multiplied back by [`DataType::ops_multiplier`] at pricing time) and
-/// quoted at the nominal clock; the walk applies the same frequency
-/// scaling as the interpreter.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyticTiming {
-    /// Calibration layout version ([`CALIBRATION_VERSION`] at fit time).
-    pub version: u32,
-    /// Sustained MAC pricing rate (macs/ns, ramp-free, skinny=1).
-    pub mac_total_per_ns: f64,
-    /// Pipeline-ramp constant (macs added to every kernel's MAC term).
-    pub mac_ramp_macs: f64,
-    /// MAC issue (busy-time) rate, macs/ns.
-    pub mac_issue_per_ns: f64,
-    /// Vector rate, ops/ns.
-    pub vec_per_ns: f64,
-    /// SFU rate, ops/ns (datatype-independent).
-    pub sfu_per_ns: f64,
-    /// Per-launch dispatch overhead at the nominal clock, ns.
-    pub launch_ns: f64,
-    /// Per-sync-op cost, ns (fitted; zero on current hardware models).
-    pub sync_ns: f64,
-    /// Skinny-tile efficiency slope per unit of `narrow_dim`.
-    pub skinny_slope: f64,
-    /// Skinny-tile efficiency floor.
-    pub skinny_floor: f64,
-    /// L2 kernel-transfer rate, bytes/ns (at the group's port share).
-    pub l2_bytes_per_ns: f64,
-    /// L3 kernel-transfer rate at one sharer, bytes/ns.
-    pub l3_bytes_per_ns: f64,
-    /// Instruction-code load rate, bytes/ns.
-    pub icache_bytes_per_ns: f64,
-    /// Per-descriptor DMA configuration time by path class, ns.
-    pub dma_config_ns: [f64; DMA_CLASSES],
-    /// DMA wire bandwidth by path class at one sharer, bytes/ns.
-    pub dma_bytes_per_ns: [f64; DMA_CLASSES],
-}
-
-fn fit_err(what: &str) -> SimError {
-    SimError::InvalidConfig(format!("analytic calibration failed: {what}"))
-}
-
-fn probe_kernel(id: u64, macs: u64, vec: u64, sfu: u64) -> KernelDescriptor {
-    let mut d = KernelDescriptor::new(format!("probe{id}"));
-    d.class = OpClass::MatrixDense;
-    d.dtype = DataType::Fp32;
-    d.macs = macs;
-    d.vector_ops = vec;
-    d.sfu_ops = sfu;
-    d
-}
-
-fn single_launch(id: u64, d: KernelDescriptor) -> Program {
-    let mut p = Program::new("probe");
-    let mut s = Stream::new(GroupId::new(0, 0));
-    s.push(Command::Launch {
-        kernel: KernelId(id),
-        descriptor: d,
-    });
-    p.add_stream(s);
-    p
-}
-
-impl AnalyticTiming {
-    /// Recovers the cost coefficients for `cfg` by running the interpreter
-    /// over the probe grid.
-    ///
-    /// Probes run with power management disabled so the governor stays at
-    /// the nominal clock; the coefficients are frequency-normalised, and
-    /// the analytic walk re-applies the power loops itself.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] when `cfg` is invalid or a fit
-    /// degenerates (non-finite or non-positive rate).
-    pub fn calibrate(cfg: &ChipConfig) -> Result<AnalyticTiming, SimError> {
-        let mut probe_cfg = cfg.clone();
-        probe_cfg.features.power_management = false;
-        let chip = Chip::try_new(probe_cfg)?;
-        let lat = |p: &Program| -> Result<f64, SimError> { Ok(chip.run(p)?.latency_ns) };
-
-        // Vector probes: latency = ops/rate + launch. Two sizes give the
-        // rate by finite difference and the launch intercept exactly.
-        let (v1, v2) = (1u64 << 20, 1u64 << 23);
-        let lv1 = lat(&single_launch(1, probe_kernel(1, 0, v1, 0)))?;
-        let lv2 = lat(&single_launch(2, probe_kernel(2, 0, v2, 0)))?;
-        let vec_per_ns = (v2 - v1) as f64 / (lv2 - lv1);
-        let launch_ns = lv1 - v1 as f64 / vec_per_ns;
-
-        // MAC probes: latency = (macs + ramp)/rate + launch — the
-        // interpreter's ramp efficiency macs/(macs+ramp) linearises.
-        let (m1, m2) = (1u64 << 25, 1u64 << 27);
-        let rm1 = chip.run(&single_launch(3, probe_kernel(3, m1, 0, 0)))?;
-        let lm1 = rm1.latency_ns;
-        let lm2 = lat(&single_launch(4, probe_kernel(4, m2, 0, 0)))?;
-        let mac_total_per_ns = (m2 - m1) as f64 / (lm2 - lm1);
-        let mac_ramp_macs = (lm1 - launch_ns) * mac_total_per_ns - m1 as f64;
-        // Issue rate from the busy-time counter of the same probe.
-        let mac_issue_per_ns = m1 as f64 / rm1.counters.compute_busy_ns;
-
-        // Skinny-tile curve: same MACs at narrow_dim 32 and 2 give the
-        // slope and the floor of the clamp.
-        let skinny_lat = |id: u64, narrow: u64| -> Result<f64, SimError> {
-            let mut d = probe_kernel(id, m1, 0, 0);
-            d.narrow_dim = narrow;
-            lat(&single_launch(id, d))
-        };
-        let l32 = skinny_lat(5, 32)?;
-        let l2n = skinny_lat(6, 2)?;
-        let skinny_slope = (lm1 - launch_ns) / (l32 - launch_ns) / 32.0;
-        let skinny_floor = (lm1 - launch_ns) / (l2n - launch_ns);
-
-        // SFU probe (launch already known).
-        let s1 = 1u64 << 22;
-        let ls = lat(&single_launch(7, probe_kernel(7, 0, 0, s1)))?;
-        let sfu_per_ns = s1 as f64 / (ls - launch_ns);
-
-        // Memory-bound kernels: transfer time dominates a zero-compute
-        // kernel, so latency - launch is the pure L2/L3 term.
-        let mem_bytes = 1u64 << 30;
-        let mut dl2 = probe_kernel(8, 0, 0, 0);
-        dl2.l2_bytes = mem_bytes;
-        let ll2 = lat(&single_launch(8, dl2))?;
-        let l2_bytes_per_ns = mem_bytes as f64 / (ll2 - launch_ns);
-        let mut dl3 = probe_kernel(9, 0, 0, 0);
-        dl3.l3_bytes = mem_bytes;
-        let ll3 = lat(&single_launch(9, dl3))?;
-        let l3_bytes_per_ns = mem_bytes as f64 / (ll3 - launch_ns);
-
-        // Instruction-load rate from the cold-miss stall counter.
-        let code = 64u64 * 1024;
-        let mut dic = probe_kernel(10, 1 << 20, 0, 0);
-        dic.code_bytes = code;
-        let ric = chip.run(&single_launch(10, dic))?;
-        let icache_bytes_per_ns = code as f64 / ric.counters.code_load_stall_ns;
-
-        // DMA probes: two sizes per path class give bandwidth slope and
-        // configuration intercept.
-        let dma_lat = |path: DmaPath, bytes: u64| -> Result<f64, SimError> {
-            let mut p = Program::new("probe");
-            let mut s = Stream::new(GroupId::new(0, 0));
-            s.push(Command::Dma {
-                descriptor: DmaDescriptor::copy(path, bytes),
-                overlapped: false,
-            });
-            p.add_stream(s);
-            lat(&p)
-        };
-        let (b1, b2) = (1u64 << 20, 1u64 << 24);
-        let mut dma_config_ns = [0.0; DMA_CLASSES];
-        let mut dma_bytes_per_ns = [0.0; DMA_CLASSES];
-        let class_paths = [
-            DmaPath::new(MemLevel::Host, MemLevel::L3),
-            DmaPath::new(MemLevel::L3, MemLevel::L2),
-            DmaPath::new(MemLevel::L2, MemLevel::L1),
-        ];
-        for (c, path) in class_paths.into_iter().enumerate() {
-            let la = dma_lat(path, b1)?;
-            let lb = dma_lat(path, b2)?;
-            dma_bytes_per_ns[c] = (b2 - b1) as f64 / (lb - la);
-            dma_config_ns[c] = la - b1 as f64 / dma_bytes_per_ns[c];
-        }
-
-        // Sync probe: a signal/wait chain with no other work. Zero on the
-        // current model; fitted anyway so a future interpreter cost would
-        // be picked up rather than silently dropped.
-        let mut sp = Program::new("probe");
-        let consumer_group = if cfg.groups_per_cluster > 1 {
-            Some(GroupId::new(0, 1))
-        } else if cfg.clusters > 1 {
-            Some(GroupId::new(1, 0))
-        } else {
-            None // single-group chip: signal and wait on one stream
-        };
-        let mut sa = Stream::new(GroupId::new(0, 0));
-        sa.push(Command::RegisterEvent {
-            event: 1,
-            pattern: SyncPattern::OneToOne,
-        })
-        .push(Command::Signal { event: 1 });
-        match consumer_group {
-            Some(group) => {
-                let mut sb = Stream::new(group);
-                sb.push(Command::Wait { event: 1 });
-                sp.add_stream(sa);
-                sp.add_stream(sb);
-            }
-            None => {
-                sa.push(Command::Wait { event: 1 });
-                sp.add_stream(sa);
-            }
-        }
-        let sync_ns = lat(&sp)? / 2.0;
-
-        let fit = AnalyticTiming {
-            version: CALIBRATION_VERSION,
-            mac_total_per_ns,
-            mac_ramp_macs,
-            mac_issue_per_ns,
-            vec_per_ns,
-            sfu_per_ns,
-            launch_ns,
-            sync_ns,
-            skinny_slope,
-            skinny_floor,
-            l2_bytes_per_ns,
-            l3_bytes_per_ns,
-            icache_bytes_per_ns,
-            dma_config_ns,
-            dma_bytes_per_ns,
-        };
-        fit.validate()?;
-        Ok(fit)
-    }
-
-    fn validate(&self) -> Result<(), SimError> {
-        let rates = [
-            ("mac_total_per_ns", self.mac_total_per_ns),
-            ("mac_issue_per_ns", self.mac_issue_per_ns),
-            ("vec_per_ns", self.vec_per_ns),
-            ("sfu_per_ns", self.sfu_per_ns),
-            ("l2_bytes_per_ns", self.l2_bytes_per_ns),
-            ("l3_bytes_per_ns", self.l3_bytes_per_ns),
-            ("icache_bytes_per_ns", self.icache_bytes_per_ns),
-            ("skinny_slope", self.skinny_slope),
-            ("skinny_floor", self.skinny_floor),
-        ];
-        for (name, v) in rates {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(fit_err(&format!("{name} = {v}")));
-            }
-        }
-        for c in 0..DMA_CLASSES {
-            if !self.dma_bytes_per_ns[c].is_finite() || self.dma_bytes_per_ns[c] <= 0.0 {
-                return Err(fit_err(&format!("dma rate class {c}")));
-            }
-            if !self.dma_config_ns[c].is_finite() || self.dma_config_ns[c] < 0.0 {
-                return Err(fit_err(&format!("dma config class {c}")));
-            }
-        }
-        for (name, v) in [
-            ("launch_ns", self.launch_ns),
-            ("sync_ns", self.sync_ns),
-            ("mac_ramp_macs", self.mac_ramp_macs),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(fit_err(&format!("{name} = {v}")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialises to a flat JSON object. `f64` values use the shortest
-    /// round-trip rendering, so `from_json(to_json())` is exact.
-    pub fn to_json(&self) -> String {
-        let arr = |a: &[f64; DMA_CLASSES]| {
-            format!("[{},{},{}]", number(a[0]), number(a[1]), number(a[2]))
-        };
-        JsonObject::new()
-            .int("calibration_version", i64::from(self.version))
-            .num("mac_total_per_ns", self.mac_total_per_ns)
-            .num("mac_ramp_macs", self.mac_ramp_macs)
-            .num("mac_issue_per_ns", self.mac_issue_per_ns)
-            .num("vec_per_ns", self.vec_per_ns)
-            .num("sfu_per_ns", self.sfu_per_ns)
-            .num("launch_ns", self.launch_ns)
-            .num("sync_ns", self.sync_ns)
-            .num("skinny_slope", self.skinny_slope)
-            .num("skinny_floor", self.skinny_floor)
-            .num("l2_bytes_per_ns", self.l2_bytes_per_ns)
-            .num("l3_bytes_per_ns", self.l3_bytes_per_ns)
-            .num("icache_bytes_per_ns", self.icache_bytes_per_ns)
-            .raw("dma_config_ns", &arr(&self.dma_config_ns))
-            .raw("dma_bytes_per_ns", &arr(&self.dma_bytes_per_ns))
-            .build()
-    }
-
-    /// Parses a calibration artifact written by [`AnalyticTiming::to_json`].
-    ///
-    /// Returns `None` on any structural mismatch (missing field, bad
-    /// number, wrong version) — callers treat that as a corrupt artifact
-    /// and re-calibrate.
-    pub fn from_json(text: &str) -> Option<AnalyticTiming> {
-        let field = |k: &str| json_scalar(text, k);
-        let version = field("calibration_version")? as u32;
-        if version != CALIBRATION_VERSION {
-            return None;
-        }
-        let fit = AnalyticTiming {
-            version,
-            mac_total_per_ns: field("mac_total_per_ns")?,
-            mac_ramp_macs: field("mac_ramp_macs")?,
-            mac_issue_per_ns: field("mac_issue_per_ns")?,
-            vec_per_ns: field("vec_per_ns")?,
-            sfu_per_ns: field("sfu_per_ns")?,
-            launch_ns: field("launch_ns")?,
-            sync_ns: field("sync_ns")?,
-            skinny_slope: field("skinny_slope")?,
-            skinny_floor: field("skinny_floor")?,
-            l2_bytes_per_ns: field("l2_bytes_per_ns")?,
-            l3_bytes_per_ns: field("l3_bytes_per_ns")?,
-            icache_bytes_per_ns: field("icache_bytes_per_ns")?,
-            dma_config_ns: json_triple(text, "dma_config_ns")?,
-            dma_bytes_per_ns: json_triple(text, "dma_bytes_per_ns")?,
-        };
-        fit.validate().ok()?;
-        Some(fit)
-    }
-
-    /// Fitted kernel times: `(busy_ns, intra_stall_ns, l2_ns, l3_ns)` at
-    /// `freq_mhz`, mirroring the interpreter's split.
-    fn kernel_times(
-        &self,
-        d: &KernelDescriptor,
-        fnom_mhz: u32,
-        freq_mhz: u32,
-        l3_sharers: usize,
-    ) -> (f64, f64, f64, f64) {
-        let mult = d.dtype.ops_multiplier();
-        let skinny = if d.narrow_dim == 0 {
-            1.0
-        } else {
-            (d.narrow_dim as f64 * self.skinny_slope).clamp(self.skinny_floor, 1.0)
-        };
-        // macs == 0 makes the interpreter's ramp efficiency 0/0 = NaN,
-        // which f64::max then drops in favour of the vector/SFU terms;
-        // reproduce that exactly.
-        let mac_total_ns = if d.macs == 0 {
-            f64::NAN
-        } else {
-            (d.macs as f64 + self.mac_ramp_macs) / (self.mac_total_per_ns * mult * skinny)
-        };
-        let mac_busy_ns = d.macs as f64 / (self.mac_issue_per_ns * mult);
-        let vec_ns = d.vector_ops as f64 / (self.vec_per_ns * mult);
-        let sfu_ns = d.sfu_ops as f64 / self.sfu_per_ns;
-        let total_nominal = mac_total_ns.max(vec_ns).max(sfu_ns);
-        let busy_nominal = mac_busy_ns.max(vec_ns).max(sfu_ns).min(total_nominal);
-        let fscale = fnom_mhz as f64 / freq_mhz as f64;
-        let busy_ns = busy_nominal * fscale;
-        let intra_stall_ns = total_nominal - busy_nominal;
-        let l2_ns = d.l2_bytes as f64 / self.l2_bytes_per_ns;
-        let l3_ns = d.l3_bytes as f64 * l3_sharers as f64 / self.l3_bytes_per_ns;
-        (busy_ns, intra_stall_ns, l2_ns, l3_ns)
-    }
-}
-
-fn json_scalar(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse::<f64>().ok()
-}
-
-fn json_triple(text: &str, key: &str) -> Option<[f64; DMA_CLASSES]> {
-    let needle = format!("\"{key}\":[");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest.find(']')?;
-    let mut out = [0.0; DMA_CLASSES];
-    let mut parts = rest[..end].split(',');
-    for slot in &mut out {
-        *slot = parts.next()?.trim().parse::<f64>().ok()?;
-    }
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(out)
-}
-
-/// Per-stream walk state.
-struct WalkStream {
-    group_flat: usize,
-    pc: usize,
-    clock_ns: f64,
-    staged_data_ready_ns: f64,
-    done: bool,
-}
-
-/// Per-group walk machinery (the interpreter's `GroupRuntime` minus the
-/// DMA engine, whose timing the coefficients replace).
-struct WalkGroup {
-    icache: InstructionCache,
-    lpme: Lpme,
-    governor: dtu_power::DvfsGovernor,
-    freq_time_product: f64,
-    busy_time_ns: f64,
-    window_acc: WindowObservation,
-    window_elapsed_ns: f64,
-}
-
-/// The calibrated analytical backend.
-///
-/// Replays the interpreter's schedule (round-robin streams, sync engine,
-/// instruction cache, power loops) with every cost query answered by the
-/// fitted [`AnalyticTiming`] coefficients. Matches the interpreter to
-/// floating-point rounding when the coefficients were calibrated for the
-/// same [`ChipConfig`]; the CI `fastpath` gate enforces ≤5% rtol.
-#[derive(Debug, Clone)]
-pub struct AnalyticBackend {
-    timing: AnalyticTiming,
-}
-
-impl AnalyticBackend {
-    /// Wraps a calibration (from [`AnalyticTiming::calibrate`] or a cache).
-    pub fn new(timing: AnalyticTiming) -> Self {
-        AnalyticBackend { timing }
-    }
-
-    /// Calibrates for `cfg` and wraps the result.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AnalyticTiming::calibrate`].
-    pub fn calibrated(cfg: &ChipConfig) -> Result<Self, SimError> {
-        Ok(AnalyticBackend::new(AnalyticTiming::calibrate(cfg)?))
-    }
-
-    /// The coefficients in use.
-    pub fn timing(&self) -> &AnalyticTiming {
-        &self.timing
-    }
-}
-
-impl TimingBackend for AnalyticBackend {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn run(&self, chip: &Chip, program: &Program) -> Result<RunReport, SimError> {
-        let cfg = chip.config();
-        let power_cfg = chip.power_config();
-        let energy_model = chip.energy_model();
-        let t = &self.timing;
-
-        for s in &program.streams {
-            if s.group.cluster >= cfg.clusters || s.group.group >= cfg.groups_per_cluster {
-                return Err(SimError::UnknownGroup {
-                    group: s.group,
-                    available: (cfg.clusters, cfg.groups_per_cluster),
-                });
-            }
-        }
-
-        let mut sync = SyncEngine::new(cfg.features.flexible_sync);
-        let pm_on = cfg.features.power_management;
-        // Legality checks only; timing comes from the coefficients.
-        let dma_check = DmaEngine::new(cfg);
-
-        let n_groups = cfg.total_groups().max(1);
-        let baseline_per_group = power_cfg.board_tdp_mw / 2 / n_groups as u64;
-        let unit_of = |flat: usize| UnitId::core(flat / cfg.groups_per_cluster, flat);
-        let baselines: Vec<(UnitId, u64)> = (0..n_groups)
-            .map(|g| (unit_of(g), baseline_per_group))
-            .collect();
-        let mut cpme =
-            Cpme::new(power_cfg.board_tdp_mw, &baselines).expect("baselines fit under TDP");
-
-        let mut groups: Vec<WalkGroup> = (0..n_groups)
-            .map(|_| WalkGroup {
-                icache: InstructionCache::new(
-                    cfg.ibuf_kib as u64 * 1024,
-                    cfg.features.instruction_cache,
-                    t.icache_bytes_per_ns,
-                ),
-                lpme: Lpme::new(power_cfg.clone(), baseline_per_group),
-                governor: if pm_on {
-                    dtu_power::DvfsGovernor::new(power_cfg.clone())
-                } else {
-                    dtu_power::DvfsGovernor::disabled(power_cfg.clone())
-                },
-                freq_time_product: 0.0,
-                busy_time_ns: 0.0,
-                window_acc: WindowObservation::default(),
-                window_elapsed_ns: 0.0,
-            })
-            .collect();
-        let window_ns = power_cfg.window_cycles as f64 * cfg.cycle_ns() * 5.0;
-
-        let mut streams: Vec<WalkStream> = program
-            .streams
-            .iter()
-            .map(|s| WalkStream {
-                group_flat: s.group.flat(cfg.groups_per_cluster),
-                pc: 0,
-                clock_ns: 0.0,
-                staged_data_ready_ns: 0.0,
-                done: s.commands.is_empty(),
-            })
-            .collect();
-
-        let l3_sharers = streams.len().max(1);
-        let mut counters = EngineCounters::default();
-        let mut energy = EnergyAccount::new();
-
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            // Indexing (not iterating) because the body mutably borrows
-            // `streams[si]` while also reading `program.streams[si]`.
-            #[allow(clippy::needless_range_loop)]
-            for si in 0..streams.len() {
-                if streams[si].done {
-                    continue;
-                }
-                all_done = false;
-                loop {
-                    let st = &streams[si];
-                    let stream_def = &program.streams[si];
-                    let Some(cmd) = stream_def.commands.get(st.pc) else {
-                        streams[si].done = true;
-                        break;
-                    };
-                    match cmd {
-                        Command::RegisterEvent { event, pattern } => {
-                            sync.register(*event, *pattern)?;
-                            streams[si].pc += 1;
-                            progressed = true;
-                        }
-                        Command::Signal { event } => {
-                            let now = streams[si].clock_ns;
-                            sync.signal(*event, now)?;
-                            counters.sync_ops += 1;
-                            streams[si].clock_ns = now + t.sync_ns;
-                            streams[si].pc += 1;
-                            progressed = true;
-                        }
-                        Command::Wait { event } => {
-                            let now = streams[si].clock_ns;
-                            match sync.wait(*event, now)? {
-                                Some(release) => {
-                                    counters.sync_wait_ns += release - now;
-                                    counters.sync_ops += 1;
-                                    streams[si].clock_ns = release + t.sync_ns;
-                                    streams[si].pc += 1;
-                                    progressed = true;
-                                }
-                                None => break,
-                            }
-                        }
-                        Command::Prefetch { kernel, code_bytes } => {
-                            let g = streams[si].group_flat;
-                            let now = streams[si].clock_ns;
-                            groups[g].icache.prefetch(*kernel, *code_bytes, now);
-                            streams[si].pc += 1;
-                            progressed = true;
-                        }
-                        Command::Dma {
-                            descriptor,
-                            overlapped,
-                        } => {
-                            let now = streams[si].clock_ns;
-                            dma_check.check(descriptor)?;
-                            let class = dma_class(descriptor.path);
-                            let configs = if descriptor.repeat > 1 {
-                                1
-                            } else {
-                                descriptor.repeat
-                            } as f64;
-                            let config_ns = if descriptor.repeat > 1 {
-                                t.dma_config_ns[class]
-                            } else {
-                                t.dma_config_ns[class] * configs
-                            };
-                            let wire_per_txn = descriptor.wire_bytes();
-                            let rate = t.dma_bytes_per_ns[class] / l3_sharers.max(1) as f64;
-                            let dma_ns =
-                                config_ns + wire_per_txn as f64 / rate * descriptor.repeat as f64;
-                            let wire_total = wire_per_txn * descriptor.repeat as u64;
-                            counters.dma_transfers += descriptor.repeat as u64;
-                            counters.dma_wire_bytes += wire_total;
-                            counters.dma_config_ns += config_ns;
-                            energy.charge_memory(
-                                energy_model,
-                                0,
-                                if descriptor.path.touches_l3() {
-                                    0
-                                } else {
-                                    wire_total
-                                },
-                                if descriptor.path.touches_l3() {
-                                    wire_total
-                                } else {
-                                    0
-                                },
-                            );
-                            if *overlapped {
-                                let done = now + dma_ns;
-                                streams[si].staged_data_ready_ns =
-                                    streams[si].staged_data_ready_ns.max(done);
-                            } else {
-                                streams[si].clock_ns = now + dma_ns;
-                            }
-                            streams[si].pc += 1;
-                            progressed = true;
-                        }
-                        Command::Launch { kernel, descriptor } => {
-                            let g = streams[si].group_flat;
-                            let start = streams[si].clock_ns;
-                            let stage_pending_ns =
-                                (streams[si].staged_data_ready_ns - start).max(0.0);
-
-                            let fetch =
-                                groups[g]
-                                    .icache
-                                    .fetch(*kernel, descriptor.code_bytes, start);
-                            let code_stall = fetch.stall_ns();
-                            match fetch {
-                                FetchOutcome::Hit | FetchOutcome::PrefetchInFlight { .. } => {
-                                    counters.icache_hits += 1;
-                                }
-                                FetchOutcome::Miss { .. } => {
-                                    counters.icache_misses += 1;
-                                }
-                            }
-                            counters.code_load_stall_ns += code_stall;
-
-                            let freq = groups[g].governor.freq_mhz();
-                            let (busy_ns, intra_stall_ns, l2_ns, l3_ns) =
-                                t.kernel_times(descriptor, cfg.clock_mhz, freq, l3_sharers);
-                            let work_ns = busy_ns + intra_stall_ns;
-                            let launch_ns = t.launch_ns * cfg.clock_mhz as f64 / freq as f64;
-                            let mut duration =
-                                work_ns.max(l2_ns).max(l3_ns).max(stage_pending_ns) + launch_ns;
-                            let mem_stall = duration - launch_ns - busy_ns;
-
-                            if pm_on {
-                                let cycle_ns = 1e3 / freq as f64;
-                                let obs = WindowObservation {
-                                    busy_cycles: (busy_ns / cycle_ns) as u64,
-                                    stall_cycles: (mem_stall / cycle_ns) as u64,
-                                    l3_stall_cycles: (mem_stall / cycle_ns) as u64,
-                                    projected_power_mw: {
-                                        let mut probe = EnergyAccount::new();
-                                        probe.charge_compute(
-                                            energy_model,
-                                            power_cfg,
-                                            freq,
-                                            (descriptor.macs as f64
-                                                / descriptor.dtype.ops_multiplier())
-                                                as u64,
-                                            descriptor.vector_ops,
-                                            descriptor.sfu_ops,
-                                        );
-                                        if duration > 0.0 {
-                                            (probe.dynamic_pj / duration) as u64
-                                        } else {
-                                            0
-                                        }
-                                    },
-                                };
-                                let unit = unit_of(g);
-                                match groups[g].lpme.observe(obs) {
-                                    LpmeAction::InsertStalls(stalls) => {
-                                        let stall_ns = stalls as f64 * cycle_ns;
-                                        counters.power_stall_ns += stall_ns;
-                                        duration += stall_ns;
-                                    }
-                                    LpmeAction::RequestBudget(want) => {
-                                        let granted = cpme.request(unit, want);
-                                        groups[g].lpme.grant(granted);
-                                        if granted < want {
-                                            let deficit =
-                                                (want - granted) as f64 / want.max(1) as f64;
-                                            let stall_ns = duration * deficit * 0.5;
-                                            counters.power_stall_ns += stall_ns;
-                                            duration += stall_ns;
-                                        }
-                                    }
-                                    LpmeAction::ReturnBudget(surplus) => {
-                                        if cpme.release(unit, surplus).is_ok() {
-                                            groups[g].lpme.relinquish(surplus);
-                                        }
-                                    }
-                                    LpmeAction::None => {}
-                                }
-                                let acc = &mut groups[g].window_acc;
-                                acc.busy_cycles += obs.busy_cycles;
-                                acc.stall_cycles += obs.stall_cycles;
-                                acc.l3_stall_cycles += obs.l3_stall_cycles;
-                                acc.projected_power_mw =
-                                    acc.projected_power_mw.max(obs.projected_power_mw);
-                                groups[g].window_elapsed_ns += duration;
-                                if groups[g].window_elapsed_ns >= window_ns {
-                                    let window = groups[g].window_acc;
-                                    let _plan = groups[g].governor.step_with_slack(window, 0.03);
-                                    groups[g].window_acc = WindowObservation::default();
-                                    groups[g].window_elapsed_ns = 0.0;
-                                }
-                            }
-
-                            let fp32_equiv_macs =
-                                (descriptor.macs as f64 / descriptor.dtype.ops_multiplier()) as u64;
-                            energy.charge_compute(
-                                energy_model,
-                                power_cfg,
-                                freq,
-                                fp32_equiv_macs,
-                                descriptor.vector_ops,
-                                descriptor.sfu_ops,
-                            );
-                            energy.charge_memory(
-                                energy_model,
-                                descriptor.l1_bytes,
-                                descriptor.l2_bytes,
-                                descriptor.l3_bytes,
-                            );
-                            energy.charge_active_idle(
-                                energy_model,
-                                power_cfg,
-                                freq,
-                                duration / n_groups as f64,
-                            );
-
-                            counters.kernel_launches += 1;
-                            counters.macs += descriptor.macs;
-                            counters.vector_ops += descriptor.vector_ops;
-                            counters.sfu_ops += descriptor.sfu_ops;
-                            counters.compute_busy_ns += busy_ns;
-                            counters.memory_stall_ns += mem_stall;
-                            groups[g].freq_time_product += freq as f64 * duration;
-                            groups[g].busy_time_ns += duration;
-
-                            streams[si].clock_ns = start + code_stall + duration;
-                            streams[si].pc += 1;
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            if !progressed {
-                return Err(SimError::Deadlock {
-                    pending_events: sync.pending_events(),
-                });
-            }
-        }
-
-        let latency_ns = streams.iter().map(|s| s.clock_ns).fold(0.0f64, f64::max);
-        energy.charge_static(energy_model, latency_ns);
-
-        let (fp, bt): (f64, f64) = groups
-            .iter()
-            .map(|g| (g.freq_time_product, g.busy_time_ns))
-            .fold((0.0, 0.0), |(a, b), (c, d)| (a + c, b + d));
-        let mean_freq_mhz = if bt > 0.0 {
-            fp / bt
-        } else {
-            cfg.clock_mhz as f64
-        };
-
-        counters.sync_ops += sync.ops();
-
-        Ok(RunReport {
-            latency_ns,
-            energy,
-            counters,
-            mean_freq_mhz,
-            program: program.name.clone(),
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::dma::{DmaDescriptor, DmaPath, MemLevel};
-
-    fn fit20() -> AnalyticTiming {
-        AnalyticTiming::calibrate(&ChipConfig::dtu20()).unwrap()
-    }
-
-    fn rtol(a: f64, b: f64) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        (a - b).abs() / a.abs().max(b.abs())
-    }
-
-    fn mixed_program(dtype: DataType) -> Program {
-        let mut p = Program::new("mixed");
-        for gi in 0..2 {
-            let mut s = Stream::new(GroupId::new(0, gi));
-            s.push(Command::Dma {
-                descriptor: DmaDescriptor::copy(DmaPath::new(MemLevel::L3, MemLevel::L2), 4 << 20),
-                overlapped: true,
-            });
-            for k in 0..24u64 {
-                let mut d = KernelDescriptor::new(format!("k{gi}_{k}"));
-                d.class = OpClass::MatrixDense;
-                d.dtype = dtype;
-                d.macs = 40_000_000 + k * 3_000_000;
-                d.vector_ops = 2_000_000;
-                d.sfu_ops = if k % 3 == 0 { 500_000 } else { 0 };
-                d.l2_bytes = 2 << 20;
-                d.l3_bytes = (8 << 20) + (k as u64) * 100_000;
-                d.code_bytes = 16 * 1024;
-                d.narrow_dim = if k % 4 == 0 { 16 } else { 0 };
-                s.push(Command::Launch {
-                    kernel: KernelId(100 * gi as u64 + k),
-                    descriptor: d,
-                });
-            }
-            p.add_stream(s);
-        }
-        // Cross-stream dependency to exercise the sync path.
-        let mut a = Stream::new(GroupId::new(1, 0));
-        a.push(Command::RegisterEvent {
-            event: 7,
-            pattern: SyncPattern::OneToOne,
-        })
-        .push(Command::Signal { event: 7 });
-        let mut b = Stream::new(GroupId::new(1, 1));
-        b.push(Command::Wait { event: 7 });
-        let mut d = KernelDescriptor::new("tail");
-        d.dtype = dtype;
-        d.macs = 90_000_000;
-        d.l3_bytes = 1 << 20;
-        d.code_bytes = 8 * 1024;
-        b.push(Command::Launch {
-            kernel: KernelId(999),
-            descriptor: d,
-        });
-        p.add_stream(a);
-        p.add_stream(b);
-        p
-    }
-
-    #[test]
-    fn interpreted_backend_is_chip_run() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let p = mixed_program(DataType::Fp16);
-        let direct = chip.run(&p).unwrap();
-        let via = InterpretedBackend.run(&chip, &p).unwrap();
-        assert_eq!(direct, via);
-    }
-
-    #[test]
-    fn analytic_matches_interpreter_on_dtu20() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let backend = AnalyticBackend::new(fit20());
-        for dtype in [DataType::Fp16, DataType::Fp32, DataType::Int8] {
-            let p = mixed_program(dtype);
-            let golden = chip.run(&p).unwrap();
-            let fast = backend.run(&chip, &p).unwrap();
-            let e = rtol(golden.latency_ns, fast.latency_ns);
-            assert!(
-                e < 1e-6,
-                "{dtype:?}: latency rtol {e} (golden {} vs analytic {})",
-                golden.latency_ns,
-                fast.latency_ns
-            );
-            assert!(rtol(golden.energy_joules(), fast.energy_joules()) < 1e-6);
-            assert!(rtol(golden.mean_freq_mhz, fast.mean_freq_mhz) < 1e-6);
-            assert_eq!(
-                golden.counters.kernel_launches,
-                fast.counters.kernel_launches
-            );
-            assert_eq!(golden.counters.sync_ops, fast.counters.sync_ops);
-            assert_eq!(golden.counters.icache_hits, fast.counters.icache_hits);
-            assert_eq!(golden.counters.dma_wire_bytes, fast.counters.dma_wire_bytes);
-        }
-    }
-
-    #[test]
-    fn analytic_matches_interpreter_on_dtu10() {
-        let cfg = ChipConfig::dtu10();
-        let chip = Chip::new(cfg.clone());
-        let backend = AnalyticBackend::calibrated(&cfg).unwrap();
-        // DTU 1.0 has one group per cluster; place streams accordingly,
-        // and exercise the skinny-tile penalty (active without
-        // fine-grained VMM).
-        let mut p = Program::new("v1");
-        for c in 0..2usize {
-            let mut s = Stream::new(GroupId::new(c, 0));
-            for k in 0..12u64 {
-                let mut d = KernelDescriptor::new(format!("k{c}_{k}"));
-                d.dtype = DataType::Fp16;
-                d.macs = 30_000_000;
-                d.vector_ops = 1_000_000;
-                d.l3_bytes = 4 << 20;
-                d.code_bytes = 16 * 1024;
-                d.narrow_dim = [0u64, 8, 48, 128][k as usize % 4];
-                s.push(Command::Launch {
-                    kernel: KernelId(50 * c as u64 + k),
-                    descriptor: d,
-                });
-            }
-            p.add_stream(s);
-        }
-        let golden = chip.run(&p).unwrap();
-        let fast = backend.run(&chip, &p).unwrap();
-        let e = rtol(golden.latency_ns, fast.latency_ns);
-        assert!(e < 1e-6, "latency rtol {e}");
-    }
-
-    #[test]
-    fn perturbed_calibration_breaks_the_error_bound() {
-        // The CI gate must actually bite: inflate one fitted coefficient
-        // by 10% and the analytic latency must drift past 5% rtol on a
-        // compute-bound program.
-        let chip = Chip::new(ChipConfig::dtu20());
-        let mut bad = fit20();
-        bad.mac_total_per_ns *= 1.10;
-        let backend = AnalyticBackend::new(bad);
-        let mut p = Program::new("compute");
-        let mut s = Stream::new(GroupId::new(0, 0));
-        for k in 0..8u64 {
-            let mut d = KernelDescriptor::new(format!("k{k}"));
-            d.dtype = DataType::Fp16;
-            d.macs = 400_000_000;
-            s.push(Command::Launch {
-                kernel: KernelId(k),
-                descriptor: d,
-            });
-        }
-        p.add_stream(s);
-        let golden = chip.run(&p).unwrap();
-        let fast = backend.run(&chip, &p).unwrap();
-        assert!(
-            rtol(golden.latency_ns, fast.latency_ns) > 0.05,
-            "a 10% coefficient error must exceed the 5% gate"
-        );
-    }
-
-    #[test]
-    fn analytic_errors_match_interpreter() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let backend = AnalyticBackend::new(fit20());
-        // Unknown group.
-        let mut p = Program::new("bad");
-        p.add_stream(Stream::new(GroupId::new(9, 0)));
-        assert!(matches!(
-            backend.run(&chip, &p),
-            Err(SimError::UnknownGroup { .. })
-        ));
-        // Deadlock.
-        let mut p = Program::new("dead");
-        let mut s = Stream::new(GroupId::new(0, 0));
-        s.push(Command::RegisterEvent {
-            event: 3,
-            pattern: SyncPattern::OneToOne,
-        })
-        .push(Command::Wait { event: 3 });
-        p.add_stream(s);
-        match backend.run(&chip, &p) {
-            Err(SimError::Deadlock { pending_events }) => assert_eq!(pending_events, vec![3]),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-        // Illegal DMA.
-        let mut p = Program::new("illegal");
-        let mut s = Stream::new(GroupId::new(0, 0));
-        s.push(Command::Dma {
-            descriptor: DmaDescriptor::copy(DmaPath::new(MemLevel::Host, MemLevel::L1), 64),
-            overlapped: false,
-        });
-        p.add_stream(s);
-        assert!(matches!(backend.run(&chip, &p), Err(SimError::Dma(_))));
-    }
-
-    #[test]
-    fn calibration_json_roundtrip_is_exact() {
-        let fit = fit20();
-        let text = fit.to_json();
-        let back = AnalyticTiming::from_json(&text).expect("parses");
-        assert_eq!(fit, back, "f64 round-trip must be bitwise exact");
-    }
-
-    #[test]
-    fn corrupt_calibration_json_rejected() {
-        let fit = fit20();
-        let good = fit.to_json();
-        assert!(AnalyticTiming::from_json(&good[..good.len() / 2]).is_none());
-        assert!(AnalyticTiming::from_json("{}").is_none());
-        assert!(AnalyticTiming::from_json(
-            &good.replace("\"calibration_version\":1", "\"calibration_version\":999")
-        )
-        .is_none());
-        // A negated rate is structurally valid JSON but semantically
-        // corrupt: validation rejects it.
-        let vec_field = format!("\"vec_per_ns\":{}", number(fit.vec_per_ns));
-        let negated = good.replace(
-            &vec_field,
-            &format!("\"vec_per_ns\":{}", number(-fit.vec_per_ns)),
-        );
-        assert_ne!(negated, good);
-        assert!(AnalyticTiming::from_json(&negated).is_none());
-    }
-
-    #[test]
-    fn empty_program_zero_latency() {
-        let chip = Chip::new(ChipConfig::dtu20());
-        let backend = AnalyticBackend::new(fit20());
-        let r = backend.run(&chip, &Program::new("empty")).unwrap();
-        assert_eq!(r.latency_ns, 0.0);
-        assert_eq!(r.mean_freq_mhz, chip.config().clock_mhz as f64);
-    }
 }

@@ -1,10 +1,8 @@
 #!/usr/bin/env sh
 # Perf smoke gate: times a *warm* 12-point sweep (resnet50/vgg16/bert x
-# batches 1,2,4,8) under BOTH timing backends in one `--timing both`
-# invocation, writes a `{interpreted_wall_ms, analytic_wall_ms,
-# speedup, points, max_rtol}` snapshot, and — in check mode — fails on
-# a >25% wall-clock regression against the committed BENCH_9.json or
-# on the analytic fast path dropping below its 10x speedup floor.
+# batches 1,2,4,8), writes a `{interpreted_wall_ms, points}` snapshot,
+# and — in check mode — fails on a >25% wall-clock regression against
+# the committed BENCH_9.json or on a change in the grid's point count.
 #
 #   scripts/bench_smoke.sh            check against the committed
 #                                     baseline; snapshot goes to
@@ -14,9 +12,7 @@
 #
 # Wall-clock baselines are machine-relative: after moving to faster or
 # slower CI hardware, intentionally regenerate with --write and commit
-# the diff (same flow as the golden figures, see docs/CLI.md). The 10x
-# speedup floor and the 5% rtol bound are machine-independent and are
-# never relaxed by --write.
+# the diff (same flow as the golden figures, see docs/CLI.md).
 set -eu
 cd "$(dirname "$0")/.."
 mode="${1:-check}"
@@ -26,16 +22,12 @@ trap 'rm -rf "$work"' EXIT INT TERM
 cargo build --release -p dtu-bench --bin topsexec >/dev/null
 bin=./target/release/topsexec
 
-# Cold pass populates the compiled-session cache AND the analytic
-# calibration + price cache, so the timed pass runs warm on both
-# backends. `--timing both` also enforces the 5% rtol bound, so a
-# diverging analytic model fails the gate here too.
+# Cold pass populates the compiled-session cache, so the timed pass
+# decodes every point from disk and only walks.
 "$bin" sweep --models resnet50,vgg16,bert --batches 1,2,4,8 --jobs 4 \
-    --timing both --rtol-bound 0.05 \
     --cache-dir "$work/cache" --format json >/dev/null 2>&1
 
 "$bin" sweep --models resnet50,vgg16,bert --batches 1,2,4,8 --jobs 4 \
-    --timing both --rtol-bound 0.05 \
     --cache-dir "$work/cache" --format json \
     --wall-out "$work/wall.json" >/dev/null 2>&1
 
@@ -46,29 +38,11 @@ work, mode = sys.argv[1:3]
 wall = json.load(open(f"{work}/wall.json"))
 current = {
     "interpreted_wall_ms": round(wall["interpreted_wall_ms"], 1),
-    "analytic_wall_ms": round(wall["analytic_wall_ms"], 3),
-    "speedup": round(wall["speedup"], 1),
     "points": wall["points"],
-    "max_rtol": wall["max_rtol"],
 }
 payload = json.dumps(current, indent=2) + "\n"
 
-failures = []
-if current["speedup"] < 10.0:
-    failures.append(
-        f"warm analytic sweep must be >=10x faster than the interpreter, "
-        f"got {current['speedup']}x ({current['interpreted_wall_ms']} ms vs "
-        f"{current['analytic_wall_ms']} ms)")
-if current["max_rtol"] > 0.05:
-    failures.append(
-        f"analytic latency diverged from the interpreter: max rtol "
-        f"{current['max_rtol']} > 0.05")
-
 if mode == "--write":
-    if failures:
-        print("bench smoke REFUSED to write a failing baseline:\n  "
-              + "\n  ".join(failures))
-        sys.exit(1)
     with open("BENCH_9.json", "w") as f:
         f.write(payload)
     print(f"bench baseline written to BENCH_9.json: {current}")
@@ -80,17 +54,14 @@ base = json.load(open("BENCH_9.json"))
 print(f"bench smoke: current {current}")
 print(f"             baseline {base}")
 
+failures = []
 if current["points"] != base["points"]:
     failures.append(
         f"sweep point count changed: {base['points']} -> {current['points']}")
 if current["interpreted_wall_ms"] > 1.25 * base["interpreted_wall_ms"]:
     failures.append(
-        f"warm interpreted sweep wall time regressed >25%: "
+        f"warm sweep wall time regressed >25%: "
         f"{base['interpreted_wall_ms']} -> {current['interpreted_wall_ms']} ms")
-if current["analytic_wall_ms"] > 1.25 * base["analytic_wall_ms"]:
-    failures.append(
-        f"warm analytic sweep wall time regressed >25%: "
-        f"{base['analytic_wall_ms']} -> {current['analytic_wall_ms']} ms")
 if failures:
     print("bench smoke FAILED:\n  " + "\n  ".join(failures))
     print("if intentional, regenerate with scripts/bench_smoke.sh --write")
