@@ -37,7 +37,10 @@ use dtu::serve::{
     LiveConfig, LiveMonitor, ScalePolicy, ServeConfig, ServeError, ServiceModel, SlaPolicy,
     TenantSpec,
 };
-use dtu::telemetry::{AttributionReport, Recorder, SloSpec, TraceBuffer};
+use dtu::telemetry::{
+    AlertEvent, AlertKind, AttributionReport, FlightDump, FlightRecorder, Recorder, SloSpec,
+    TraceBuffer,
+};
 use dtu::{Accelerator, ChipConfig, DataType, Graph, Session, SessionOptions, WorkloadSize};
 use dtu_fleet::{
     run_fleet, run_fleet_monitored, ChipKill, FleetConfig, FleetFrame, FleetMonitor, FleetTenant,
@@ -51,17 +54,6 @@ use dtu_harness::{
 use dtu_models::{GenerativeConfig, Model};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-struct Args {
-    model: Option<String>,
-    import: Option<String>,
-    batch: usize,
-    chip: String,
-    groups: Option<usize>,
-    profile: bool,
-    trace: Option<String>,
-    no_power_management: bool,
-}
 
 fn usage() -> &'static str {
     "usage: topsexec (--model <name> | --import <file.tops>) [options]\n\
@@ -273,88 +265,197 @@ fn usage() -> &'static str {
                                 (default 150)"
 }
 
-/// Parses a `--qps` value: an arrival rate must be finite and
-/// non-negative.
-fn parse_qps(v: &str) -> Result<f64, String> {
-    match v.parse::<f64>() {
-        Ok(q) if q.is_finite() && q >= 0.0 => Ok(q),
-        _ => Err(format!(
-            "--qps needs a finite, non-negative number, got '{v}'"
-        )),
+/// Why a subcommand stopped.
+enum CliError {
+    /// Malformed arguments: `error: <reason>` (no line for `--help`'s
+    /// empty reason), then the usage text.
+    Usage(String),
+    /// A failure once the arguments parsed, printed as it stands.
+    Run(String),
+}
+
+/// A run failure reported as `error: <e>`.
+fn fail(e: impl std::fmt::Display) -> CliError {
+    CliError::Run(format!("error: {e}"))
+}
+
+/// A run failure of a `what` step, reported as `<what> error: <e>`.
+fn step_error<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> CliError {
+    move |e| CliError::Run(format!("{what} error: {e}"))
+}
+
+fn write_file(path: &str, payload: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, payload).map_err(|e| fail(format!("cannot write {path}: {e}")))
+}
+
+/// A numeric flag value, and what its parse error says it needs.
+trait FlagNum: std::str::FromStr {
+    const KIND: &'static str;
+}
+
+impl FlagNum for usize {
+    const KIND: &'static str = "an integer";
+}
+
+impl FlagNum for u64 {
+    const KIND: &'static str = "an integer";
+}
+
+impl FlagNum for f64 {
+    const KIND: &'static str = "a number";
+}
+
+/// Spellings every subcommand reads as another flag.
+const ALIASES: &[(&str, &str)] = &[
+    ("--trace", "--trace-out"),
+    ("-j", "--jobs"),
+    ("--llm", "--generative"),
+];
+
+/// The flag [`scan`] is at, and the rest of the argv to read its value
+/// from. Errors are usage messages.
+struct Scanner<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag's canonical name.
+    flag: &'a str,
+}
+
+impl Scanner<'_> {
+    fn value(&mut self) -> Result<String, String> {
+        let flag = self.flag;
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    fn num<T: FlagNum>(&mut self) -> Result<T, String> {
+        let flag = self.flag;
+        self.value()?
+            .parse()
+            .map_err(|_| format!("{flag} needs {}", T::KIND))
+    }
+
+    /// An arrival rate: finite and non-negative.
+    fn qps(&mut self) -> Result<f64, String> {
+        let v = self.value()?;
+        match v.parse::<f64>() {
+            Ok(q) if q.is_finite() && q >= 0.0 => Ok(q),
+            _ => Err(format!(
+                "--qps needs a finite, non-negative number, got '{v}'"
+            )),
+        }
+    }
+
+    /// A comma-separated value, each trimmed item parsed by `item`.
+    fn list<T>(&mut self, item: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+        self.value()?.split(',').map(|s| item(s.trim())).collect()
+    }
+
+    /// A comma-separated list of names, blanks dropped.
+    fn names(&mut self) -> Result<Vec<String>, String> {
+        let mut names = self.list(|s| Ok(s.to_string()))?;
+        names.retain(|s| !s.is_empty());
+        Ok(names)
     }
 }
 
-fn chip_by_name(name: &str) -> Result<ChipConfig, String> {
+/// Readers for `flags!` rows: a switch that turns a setting on or
+/// off, and an optional setting's value.
+fn on(_: &mut Scanner) -> Result<bool, String> {
+    Ok(true)
+}
+
+fn off(_: &mut Scanner) -> Result<bool, String> {
+    Ok(false)
+}
+
+fn some<'a, T>(
+    read: impl Fn(&mut Scanner<'a>) -> Result<T, String>,
+) -> impl Fn(&mut Scanner<'a>) -> Result<Option<T>, String> {
+    move |s| read(s).map(Some)
+}
+
+fn strings(items: &[&str]) -> Vec<String> {
+    items.iter().map(|s| s.to_string()).collect()
+}
+
+/// Scans one subcommand's argv: hands each flag, by canonical name, or
+/// positional word to `take` with the scanner positioned to read its
+/// value, and rejects what `take` declines. `aliases` are the
+/// subcommand's own spellings, tried before [`ALIASES`].
+fn scan(
+    argv: &[String],
+    sub: &str,
+    aliases: &[(&str, &'static str)],
+    mut take: impl FnMut(&str, &mut Scanner) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut s = Scanner {
+        args: argv.iter(),
+        flag: "",
+    };
+    while let Some(arg) = s.args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(String::new());
+        }
+        s.flag = aliases
+            .iter()
+            .chain(ALIASES)
+            .find(|(alias, _)| alias == arg)
+            .map_or(arg, |&(_, flag)| flag);
+        if !take(s.flag, &mut s)? {
+            return Err(format!("unknown {sub}flag '{arg}'"));
+        }
+    }
+    Ok(())
+}
+
+/// Declares a subcommand's flag table: a struct of settings that start
+/// at their defaults, and `flag`, which sets the one a flag names. A
+/// row reads `field: Type = default, "--flag" => reader;`, where the
+/// reader takes the flag's value off the [`Scanner`].
+macro_rules! flags {
+    ($(#[$doc:meta])* struct $name:ident {
+        $($field:ident: $ty:ty = $default:expr, $flag:literal => $read:expr;)*
+    }) => {
+        $(#[$doc])*
+        struct $name {
+            $($field: $ty,)*
+        }
+
+        impl $name {
+            fn new() -> Self {
+                $name { $($field: $default,)* }
+            }
+
+            /// Sets the field `flag` names; `false` if it names none.
+            fn flag(&mut self, flag: &str, s: &mut Scanner) -> Result<bool, String> {
+                match flag {
+                    $($flag => self.$field = $read(s)?,)*
+                    _ => return Ok(false),
+                }
+                Ok(true)
+            }
+        }
+    };
+}
+
+fn chip_by_name(name: &str) -> Result<ChipConfig, CliError> {
     match name {
         "i20" => Ok(ChipConfig::dtu20()),
         "i10" => Ok(ChipConfig::dtu10()),
-        other => Err(format!("unknown chip '{other}' (use i20 or i10)")),
+        other => Err(fail(format!("unknown chip '{other}' (use i20 or i10)"))),
     }
 }
 
-fn load_graph(model: Option<&str>, import: Option<&str>, batch: usize) -> Result<Graph, String> {
-    if let Some(name) = model {
-        return match model_by_name(name) {
-            Some(m) => Ok(m.build(batch)),
-            None => Err(format!("unknown model '{name}'\n\n{}", usage())),
-        };
+/// The accelerator `--chip` names, its clock pinned at f_max when
+/// `no_power_management` is set.
+fn accelerator(chip: &str, no_power_management: bool) -> Result<Accelerator, CliError> {
+    let mut cfg = chip_by_name(chip)?;
+    if no_power_management {
+        cfg.features.power_management = false;
     }
-    let path = import.expect("validated");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_model(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn workload_size(groups: Option<usize>) -> Result<WorkloadSize, String> {
-    match groups {
-        Some(1) => Ok(WorkloadSize::Small),
-        Some(2) => Ok(WorkloadSize::Medium),
-        Some(3) => Ok(WorkloadSize::Large),
-        None => Ok(WorkloadSize::FullChip),
-        Some(n) => Err(format!("--groups must be 1..3, got {n}")),
-    }
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        model: None,
-        import: None,
-        batch: 1,
-        chip: "i20".into(),
-        groups: None,
-        profile: false,
-        trace: None,
-        no_power_management: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--model" => args.model = Some(value("--model")?),
-            "--import" => args.import = Some(value("--import")?),
-            "--batch" => {
-                args.batch = value("--batch")?
-                    .parse()
-                    .map_err(|_| "--batch needs an integer".to_string())?
-            }
-            "--chip" => args.chip = value("--chip")?,
-            "--groups" => {
-                args.groups = Some(
-                    value("--groups")?
-                        .parse()
-                        .map_err(|_| "--groups needs an integer".to_string())?,
-                )
-            }
-            "--profile" => args.profile = true,
-            "--trace-out" | "--trace" => args.trace = Some(value("--trace-out")?),
-            "--no-power-management" => args.no_power_management = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if args.model.is_none() == args.import.is_none() {
-        return Err("exactly one of --model / --import is required".into());
-    }
-    Ok(args)
+    Accelerator::with_config(cfg).map_err(fail)
 }
 
 fn model_by_name(name: &str) -> Option<Model> {
@@ -373,187 +474,414 @@ fn model_by_name(name: &str) -> Option<Model> {
     }
 }
 
-struct ServeArgs {
-    models: Vec<String>,
-    qps: f64,
-    duration_ms: f64,
-    max_batch: usize,
-    batch_timeout_ms: f64,
-    deadline_ms: f64,
-    queue_depth: usize,
-    bursty: bool,
-    autoscale: bool,
-    seed: u64,
-    chip: String,
-    trace: Option<String>,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
+fn table_model(name: &str) -> Result<Model, CliError> {
+    model_by_name(name).ok_or_else(|| CliError::Usage(format!("unknown model '{name}'")))
+}
+
+/// The Table III models `names` pick, as experiment-grid entries.
+fn table_models(names: &[String]) -> Result<Vec<SweepModel<'static>>, CliError> {
+    names
+        .iter()
+        .map(|name| {
+            let m = table_model(name)?;
+            Ok(SweepModel::new(name.clone(), move |b| m.build(b)))
+        })
+        .collect()
+}
+
+/// The Table III models `names` pick, as serving models compiling
+/// through `cache`.
+fn compiled_models<'c>(
+    names: &[String],
+    accel: &'c Accelerator,
+    cache: &'c SessionCache,
+) -> Result<Vec<CompiledModel<'c>>, CliError> {
+    let models = table_models(names)?.into_iter().map(|m| {
+        CompiledModel::new(accel.chip(), m.name().to_string(), move |b| m.build(b))
+            .with_source(cache)
+    });
+    Ok(models.collect())
 }
 
 /// Builds the artifact cache the `sweep` and `serve` subcommands share
 /// (on disk) from the common `--cache-dir` / `--no-disk-cache` flags.
-fn artifact_cache(cache_dir: Option<&PathBuf>, disk_cache: bool) -> SessionCache {
+fn artifact_cache(cache_dir: Option<&str>, disk_cache: bool) -> SessionCache {
     if !disk_cache {
         return SessionCache::memory_only();
     }
-    let dir = cache_dir
-        .cloned()
-        .unwrap_or_else(SessionCache::default_disk_dir);
+    let dir = cache_dir.map_or_else(SessionCache::default_disk_dir, PathBuf::from);
     SessionCache::with_disk(dir)
 }
 
-fn parse_serve_args() -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        models: vec!["resnet50".into(), "bert".into()],
-        qps: 400.0,
-        duration_ms: 1000.0,
-        max_batch: 8,
-        batch_timeout_ms: 2.0,
-        deadline_ms: 50.0,
-        queue_depth: 64,
-        bursty: false,
-        autoscale: true,
-        seed: 0x5EED,
-        chip: "i20".into(),
-        trace: None,
-        cache_dir: None,
-        disk_cache: true,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
-            v.parse().map_err(|_| format!("{flag} needs a number"))
+/// Poisson arrivals at `qps`, or Markov-modulated bursts around it.
+fn arrival(bursty: bool, qps: f64, duration_ms: f64) -> ArrivalProcess {
+    if bursty {
+        ArrivalProcess::Bursty {
+            base_qps: 0.5 * qps,
+            burst_qps: 2.5 * qps,
+            mean_dwell_ms: duration_ms / 8.0,
         }
-        match a.as_str() {
-            "--models" => {
-                args.models = value("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--qps" => args.qps = parse_qps(&value("--qps")?)?,
-            "--duration" => args.duration_ms = num("--duration", value("--duration")?)?,
-            "--max-batch" => args.max_batch = num("--max-batch", value("--max-batch")?)?,
-            "--batch-timeout" => {
-                args.batch_timeout_ms = num("--batch-timeout", value("--batch-timeout")?)?
-            }
-            "--deadline" => args.deadline_ms = num("--deadline", value("--deadline")?)?,
-            "--queue-depth" => args.queue_depth = num("--queue-depth", value("--queue-depth")?)?,
-            "--bursty" => args.bursty = true,
-            "--no-autoscale" => args.autoscale = false,
-            "--seed" => args.seed = num("--seed", value("--seed")?)?,
-            "--chip" => args.chip = value("--chip")?,
-            "--trace-out" | "--trace" => args.trace = Some(value("--trace-out")?),
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown serve flag '{other}'")),
-        }
+    } else {
+        ArrivalProcess::Poisson { qps }
     }
-    if args.models.is_empty() {
-        return Err("--models needs at least one model name".into());
-    }
-    Ok(args)
 }
 
-fn run_serve() -> ExitCode {
-    let args = match parse_serve_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
+/// Replays a finished run as a live dashboard: each frame after a
+/// screen clear, `refresh_ms` of wall time apart.
+fn replay(frames: impl Iterator<Item = String>, refresh_ms: u64) {
+    use std::io::Write;
+    for frame in frames {
+        print!("\x1b[2J\x1b[H{frame}");
+        let _ = std::io::stdout().flush();
+        std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
+    }
+}
 
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+/// Prints a finished serving run's dashboard: with `once` the frame at
+/// `end_ns`, else a replay of one frame per simulated second (one
+/// evaluation window each, against the retained rings).
+fn show_dashboard(once: bool, end_ns: f64, refresh_ms: u64, render: impl Fn(f64) -> String) {
+    if once {
+        print!("{}", render(end_ns));
+        return;
+    }
+    let frames = (end_ns / 1e9).ceil().max(1.0) as u64;
+    let times = (1..=frames).map(|f| (f as f64 * 1e9).min(end_ns));
+    replay(times.map(render), refresh_ms);
+}
+
+/// `FIRE` if an alert log's burn-rate page is firing at simulated time
+/// `t_ns`, else `-`. Replayed from the log: the tracker only holds
+/// end-of-run state, and a dashboard replays history.
+fn alert_mark<'a>(alerts: impl Iterator<Item = &'a AlertEvent>, t_ns: f64) -> &'static str {
+    let mut firing = false;
+    for a in alerts.filter(|a| a.t_ns <= t_ns) {
+        match a.kind {
+            AlertKind::BurnRate => firing = true,
+            AlertKind::Resolved => firing = false,
+            AlertKind::Fault => {}
         }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    }
+    if firing {
+        "FIRE"
+    } else {
+        "-"
+    }
+}
+
+/// Writes a flight dump to `path` as a Perfetto/Chrome trace: the first
+/// whose reason names an entry of `prefer` (tried in order), else the
+/// first dump. The caller has made sure there is one.
+fn write_flight_dump(
+    dumps: &[FlightDump],
+    prefer: &[&str],
+    path: &str,
+    tag: &str,
+) -> Result<(), CliError> {
+    let dump = prefer
+        .iter()
+        .find_map(|p| dumps.iter().find(|d| d.reason.contains(p)))
+        .or_else(|| dumps.first())
+        .expect("an end-of-run snapshot stands in for a clean run");
+    write_file(path, dump.to_chrome_trace(true))?;
+    eprintln!(
+        "[{tag}] flight dump `{}` ({} spans at t={:.2}s) written to {path}",
+        dump.reason,
+        dump.spans.len(),
+        dump.at_ns / 1e9
+    );
+    Ok(())
+}
+
+/// Freezes the ring at end of run when nothing went wrong, so a
+/// `--flight-out` always has a dump to write.
+fn end_of_run_snapshot(flight: &mut FlightRecorder, end_ns: f64) -> &[FlightDump] {
+    if flight.dumps().is_empty() {
+        flight.trigger("end-of-run snapshot", end_ns);
+    }
+    flight.dumps()
+}
+
+flags! {
+    /// The single-model flags of the default mode and `profile`.
+    struct Target {
+        model: Option<String> = None, "--model" => some(Scanner::value);
+        import: Option<String> = None, "--import" => some(Scanner::value);
+        batch: usize = 1, "--batch" => Scanner::num;
+        chip: String = "i20".into(), "--chip" => Scanner::value;
+        groups: Option<usize> = None, "--groups" => some(Scanner::num);
+        no_power_management: bool = false, "--no-power-management" => on;
+    }
+}
+
+impl Target {
+    /// The model's graph, the accelerator, and the session options the
+    /// graph compiles with.
+    fn load(&self) -> Result<(Graph, Accelerator, SessionOptions), CliError> {
+        let graph = match (&self.model, &self.import) {
+            (Some(name), _) => table_model(name)?.build(self.batch),
+            (None, path) => {
+                let path = path.as_deref().expect("validated");
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| fail(format!("cannot read {path}: {e}")))?;
+                parse_model(&text).map_err(|e| fail(format!("{path}: {e}")))?
+            }
+        };
+        let accel = accelerator(&self.chip, self.no_power_management)?;
+        let size = match self.groups {
+            Some(1) => WorkloadSize::Small,
+            Some(2) => WorkloadSize::Medium,
+            Some(3) => WorkloadSize::Large,
+            None => WorkloadSize::FullChip,
+            Some(n) => return Err(fail(format!("--groups must be 1..3, got {n}"))),
+        };
+        let options = SessionOptions {
+            size,
+            batch: self.batch,
+            ..Default::default()
+        };
+        Ok((graph, accel, options))
+    }
+}
+
+flags! {
+    /// The default mode's own flags.
+    struct Measure {
+        profile: bool = false, "--profile" => on;
+        trace: Option<String> = None, "--trace-out" => some(Scanner::value);
+    }
+}
+
+fn run_measure(argv: &[String]) -> Result<(), CliError> {
+    let (mut target, mut args) = (Target::new(), Measure::new());
+    scan(argv, "", &[], |flag, s| {
+        Ok(args.flag(flag, s)? || target.flag(flag, s)?)
+    })
+    .map_err(CliError::Usage)?;
+    if target.model.is_none() == target.import.is_none() {
+        let e = "exactly one of --model / --import is required";
+        return Err(CliError::Usage(e.into()));
+    }
+    let (graph, accel, options) = target.load()?;
+
+    println!("=== topsexec ===");
+    println!("accelerator : {accel}");
+    println!("model       : {graph}");
+    println!("batch       : {}", target.batch);
+
+    let session = Session::compile(&accel, &graph, options).map_err(step_error("compile"))?;
+    println!(
+        "compiled    : {} commands over {} streams",
+        session.program().total_commands(),
+        session.program().streams.len()
+    );
+
+    let (report, timeline) = session.run_traced().map_err(step_error("run"))?;
+
+    println!("\n--- measurements ---");
+    println!("latency      : {:.3} ms", report.latency_ms());
+    println!("throughput   : {:.1} samples/s", report.throughput());
+    println!("avg power    : {:.1} W", report.average_watts());
+    println!("energy/sample: {:.4} J", 1.0 / report.samples_per_joule());
+    println!("mean clock   : {:.0} MHz", report.mean_freq_mhz());
+    let c = report.raw().counters;
+    println!(
+        "kernels      : {} launches, icache hit rate {:.0}%",
+        c.kernel_launches,
+        c.icache_hit_rate() * 100.0
+    );
+    println!(
+        "dma          : {} transfers, {:.1} MiB on the wire",
+        c.dma_transfers,
+        c.dma_wire_bytes as f64 / (1024.0 * 1024.0)
+    );
+
+    if args.profile {
+        println!("\n--- profile ---");
+        println!("{}", timeline.report(10));
+    }
+    if let Some(path) = &args.trace {
+        write_file(path, timeline.to_chrome_trace())?;
+        println!("\ntrace written to {path} (open in chrome://tracing)");
+    }
+    Ok(())
+}
+
+flags! {
+    /// `profile`'s own flags.
+    struct Profile {
+        trace_out: String = "topsexec.trace.json".into(), "--trace-out" => Scanner::value;
+        format: String = "table".into(), "--format" => Scanner::value;
+    }
+}
+
+fn run_profile(argv: &[String]) -> Result<(), CliError> {
+    let (mut target, mut args) = (Target::new(), Profile::new());
+    scan(argv, "profile ", &[], |flag, s| {
+        if !flag.starts_with('-') && target.model.is_none() {
+            target.model = Some(flag.into());
+            return Ok(true);
         }
-    };
+        Ok(args.flag(flag, s)? || target.flag(flag, s)?)
+    })
+    .map_err(CliError::Usage)?;
+    if target.model.is_none() == target.import.is_none() {
+        let e = "profile needs a model name or --import <file>";
+        return Err(CliError::Usage(e.into()));
+    }
+    if !matches!(args.format.as_str(), "table" | "prometheus" | "json") {
+        return Err(CliError::Usage(format!(
+            "--format must be table, prometheus, or json, got '{}'",
+            args.format
+        )));
+    }
+    let (graph, accel, options) = target.load()?;
+
+    // Compiler phases, the session envelope, and the simulator's
+    // kernel/DMA/sync spans all land in one buffer on one clock.
+    let mut buf = TraceBuffer::new();
+    let session = Session::compile_recorded(&accel, &graph, options, &mut buf)
+        .map_err(step_error("compile"))?;
+    let report = session.run_recorded(&mut buf).map_err(step_error("run"))?;
+
+    let groups = target
+        .groups
+        .unwrap_or_else(|| accel.config().total_groups());
+    // The compiler lowers to fp16 by default; fold the Table I
+    // throughput ratio into the roofline peak.
+    let machine = accel
+        .config()
+        .machine_spec(groups, DataType::Fp16.ops_multiplier());
+    let attr = AttributionReport::from_spans(buf.spans(), report.raw().latency_ns, machine);
+    for s in attr.operator_spans() {
+        buf.record(s);
+    }
+    write_file(&args.trace_out, buf.to_chrome_trace(true))?;
+
+    println!("=== topsexec profile ===");
+    println!("accelerator : {accel}");
+    println!("model       : {graph}");
+    println!(
+        "run         : {:.3} ms, {} operator segments, {} spans",
+        report.latency_ms(),
+        attr.ops.len(),
+        buf.len()
+    );
+    println!(
+        "trace       : {} (open in Perfetto / chrome://tracing)",
+        args.trace_out
+    );
+    println!();
+    match args.format.as_str() {
+        "prometheus" => print!("{}", attr.to_prometheus()),
+        "json" => println!("{}", attr.to_json()),
+        _ => print!("{}", attr.to_table()),
+    }
+    Ok(())
+}
+
+flags! {
+    /// The request-level serving flags `serve` and `top` share.
+    struct Traffic {
+        models: Vec<String> = strings(&["resnet50", "bert"]), "--models" => Scanner::names;
+        qps: f64 = 400.0, "--qps" => Scanner::qps;
+        duration_ms: f64 = 1000.0, "--duration" => Scanner::num;
+        max_batch: usize = 8, "--max-batch" => Scanner::num;
+        batch_timeout_ms: f64 = 2.0, "--batch-timeout" => Scanner::num;
+        deadline_ms: f64 = 50.0, "--deadline" => Scanner::num;
+        queue_depth: usize = 64, "--queue-depth" => Scanner::num;
+        bursty: bool = false, "--bursty" => on;
+        autoscale: bool = true, "--no-autoscale" => off;
+        seed: u64 = 0x5EED, "--seed" => Scanner::num;
+        chip: String = "i20".into(), "--chip" => Scanner::value;
+        cache_dir: Option<String> = None, "--cache-dir" => some(Scanner::value);
+        disk_cache: bool = true, "--no-disk-cache" => off;
+    }
+}
+
+impl Traffic {
+    fn check(&self) -> Result<(), CliError> {
+        if self.models.is_empty() {
+            let e = "--models needs at least one model name";
+            return Err(CliError::Usage(e.into()));
+        }
+        Ok(())
+    }
+
+    /// The scenario: one tenant per model, named by `name`, on a chip
+    /// with `gpc` groups per cluster, under `faults`.
+    fn config(&self, gpc: usize, faults: FaultPlan, name: impl Fn(usize) -> String) -> ServeConfig {
+        ServeConfig {
+            duration_ms: self.duration_ms,
+            seed: self.seed,
+            record_requests: false,
+            faults,
+            retry: Default::default(),
+            tenants: (0..self.models.len())
+                .map(|i| TenantSpec {
+                    name: name(i),
+                    model: i,
+                    arrival: arrival(self.bursty, self.qps, self.duration_ms),
+                    batch: if self.max_batch > 1 {
+                        BatchPolicy::dynamic(self.max_batch, self.batch_timeout_ms)
+                    } else {
+                        BatchPolicy::none()
+                    },
+                    sla: SlaPolicy::new(self.deadline_ms, self.queue_depth),
+                    scale: if self.autoscale {
+                        ScalePolicy::elastic(self.deadline_ms / 4.0, self.deadline_ms / 20.0, gpc)
+                    } else {
+                        ScalePolicy::none()
+                    },
+                    cluster: None,
+                    initial_groups: 1,
+                })
+                .collect(),
+        }
+    }
+}
+
+flags! {
+    /// `serve`'s own flags.
+    struct Serve {
+        trace: Option<String> = None, "--trace-out" => some(Scanner::value);
+    }
+}
+
+fn run_serve(argv: &[String]) -> Result<(), CliError> {
+    let (mut t, mut args) = (Traffic::new(), Serve::new());
+    scan(argv, "serve ", &[], |flag, s| {
+        Ok(args.flag(flag, s)? || t.flag(flag, s)?)
+    })
+    .map_err(CliError::Usage)?;
+    t.check()?;
+    let accel = accelerator(&t.chip, false)?;
 
     // The artifact cache outlives the per-tenant models so every
     // tenant compiles through it — and, with the disk tier on, reuses
     // sessions a previous `serve` or `sweep` run already lowered.
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
-    let mut models = Vec::new();
-    for name in &args.models {
-        let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        models.push(
-            CompiledModel::new(accel.chip(), name.clone(), move |b| m.build(b)).with_source(&cache),
-        );
-    }
-
+    let cache = artifact_cache(t.cache_dir.as_deref(), t.disk_cache);
+    let mut models = compiled_models(&t.models, &accel, &cache)?;
     let gpc = accel.config().groups_per_cluster;
-    let cfg = ServeConfig {
-        duration_ms: args.duration_ms,
-        seed: args.seed,
-        record_requests: false,
-        faults: Default::default(),
-        retry: Default::default(),
-        tenants: (0..models.len())
-            .map(|i| TenantSpec {
-                name: format!("tenant{i}"),
-                model: i,
-                arrival: if args.bursty {
-                    ArrivalProcess::Bursty {
-                        base_qps: 0.5 * args.qps,
-                        burst_qps: 2.5 * args.qps,
-                        mean_dwell_ms: args.duration_ms / 8.0,
-                    }
-                } else {
-                    ArrivalProcess::Poisson { qps: args.qps }
-                },
-                batch: if args.max_batch > 1 {
-                    BatchPolicy::dynamic(args.max_batch, args.batch_timeout_ms)
-                } else {
-                    BatchPolicy::none()
-                },
-                sla: SlaPolicy::new(args.deadline_ms, args.queue_depth),
-                scale: if args.autoscale {
-                    ScalePolicy::elastic(args.deadline_ms / 4.0, args.deadline_ms / 20.0, gpc)
-                } else {
-                    ScalePolicy::none()
-                },
-                cluster: None,
-                initial_groups: 1,
-            })
-            .collect(),
-    };
+    let cfg = t.config(gpc, FaultPlan::default(), |i| format!("tenant{i}"));
 
     println!("=== topsexec serve ===");
     println!("accelerator : {accel}");
     println!(
         "tenants     : {} ({}), {:.0} qps each{}, {:.0} ms horizon",
         cfg.tenants.len(),
-        args.models.join(", "),
-        args.qps,
-        if args.bursty { " (bursty)" } else { "" },
-        args.duration_ms
+        t.models.join(", "),
+        t.qps,
+        if t.bursty { " (bursty)" } else { "" },
+        t.duration_ms
     );
     println!(
         "policies    : max batch {}, timeout {:.1} ms, deadline {:.0} ms, queue cap {}, autoscale {}",
-        args.max_batch,
-        args.batch_timeout_ms,
-        args.deadline_ms,
-        args.queue_depth,
-        if args.autoscale { "on" } else { "off" }
+        t.max_batch,
+        t.batch_timeout_ms,
+        t.deadline_ms,
+        t.queue_depth,
+        if t.autoscale { "on" } else { "off" }
     );
 
     let mut refs: Vec<&mut dyn ServiceModel> = models
@@ -568,14 +896,8 @@ fn run_serve() -> ExitCode {
         run_serving_recorded(&cfg, accel.config(), &mut refs, &mut buf)
     } else {
         run_serving(&cfg, accel.config(), &mut refs)
-    };
-    let out = match out {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("serve error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+    .map_err(step_error("serve"))?;
 
     println!("\n--- report ---");
     print!("{}", out.report);
@@ -602,41 +924,41 @@ fn run_serve() -> ExitCode {
         } else {
             out.trace.to_jsonl()
         };
-        if let Err(e) = std::fs::write(path, payload) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, payload)?;
         println!("\ntrace written to {path} ({} events)", out.trace.len());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct GenServeArgs {
-    gen_model: String,
-    qps: f64,
-    duration_ms: f64,
-    prompt: usize,
-    min_new: usize,
-    max_new: usize,
-    max_concurrency: usize,
-    queue_depth: usize,
-    ttft_deadline_ms: f64,
-    tpot_deadline_ms: f64,
-    kv_budget: f64,
-    bursty: bool,
-    seed: u64,
-    chip: String,
-    jobs: usize,
-    trace: Option<String>,
-    monitor: bool,
-    slo: bool,
-    flight_out: Option<String>,
-    format: String,
-    once: bool,
-    span_s: f64,
-    refresh_ms: u64,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
+flags! {
+    /// `serve --generative` / `top --generative` flags.
+    struct GenServe {
+        gen_model: String = "gpt1b".into(), "--gen-model" => Scanner::value;
+        qps: f64 = 200.0, "--qps" => Scanner::qps;
+        duration_ms: f64 = 200.0, "--duration" => Scanner::num;
+        prompt: usize = 64, "--prompt" => Scanner::num;
+        min_new: usize = 4, "--min-new" => Scanner::num;
+        max_new: usize = 32, "--max-new" => Scanner::num;
+        max_concurrency: usize = 8, "--max-concurrency" => Scanner::num;
+        queue_depth: usize = 64, "--queue-depth" => Scanner::num;
+        ttft_deadline_ms: f64 = 100.0, "--ttft-deadline" => Scanner::num;
+        tpot_deadline_ms: f64 = 20.0, "--tpot-deadline" => Scanner::num;
+        kv_budget: f64 = 1.0, "--kv-budget" => Scanner::num;
+        bursty: bool = false, "--bursty" => on;
+        seed: u64 = 7, "--seed" => Scanner::num;
+        chip: String = "i20".into(), "--chip" => Scanner::value;
+        jobs: usize = available_jobs(), "--jobs" => Scanner::num;
+        trace: Option<String> = None, "--trace-out" => some(Scanner::value);
+        monitor: bool = false, "--monitor" => on;
+        slo: bool = false, "--slo" => on;
+        flight_out: Option<String> = None, "--flight-out" => some(Scanner::value);
+        format: String = "json".into(), "--format" => Scanner::value;
+        once: bool = false, "--once" => on;
+        span_s: f64 = 5.0, "--span" => Scanner::num;
+        refresh_ms: u64 = 150, "--refresh-ms" => Scanner::num;
+        cache_dir: Option<String> = None, "--cache-dir" => some(Scanner::value);
+        disk_cache: bool = true, "--no-disk-cache" => off;
+    }
 }
 
 fn gen_model_by_name(name: &str) -> Option<GenerativeConfig> {
@@ -647,105 +969,67 @@ fn gen_model_by_name(name: &str) -> Option<GenerativeConfig> {
     }
 }
 
-fn parse_genserve_args() -> Result<GenServeArgs, String> {
-    let mut args = GenServeArgs {
-        gen_model: "gpt1b".into(),
-        qps: 200.0,
-        duration_ms: 200.0,
-        prompt: 64,
-        min_new: 4,
-        max_new: 32,
-        max_concurrency: 8,
-        queue_depth: 64,
-        ttft_deadline_ms: 100.0,
-        tpot_deadline_ms: 20.0,
-        kv_budget: 1.0,
-        bursty: false,
-        seed: 7,
-        chip: "i20".into(),
-        jobs: available_jobs(),
-        trace: None,
-        monitor: false,
-        slo: false,
-        flight_out: None,
-        format: "json".into(),
-        once: false,
-        span_s: 5.0,
-        refresh_ms: 150,
-        cache_dir: None,
-        disk_cache: true,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
-            v.parse().map_err(|_| format!("{flag} needs a number"))
-        }
-        match a.as_str() {
-            // The mode selectors themselves (main() already routed on
-            // them).
-            "--generative" | "--llm" => {}
-            "--gen-model" => args.gen_model = value("--gen-model")?,
-            "--qps" => args.qps = parse_qps(&value("--qps")?)?,
-            "--duration" => args.duration_ms = num("--duration", value("--duration")?)?,
-            "--prompt" => args.prompt = num("--prompt", value("--prompt")?)?,
-            "--min-new" => args.min_new = num("--min-new", value("--min-new")?)?,
-            "--max-new" => args.max_new = num("--max-new", value("--max-new")?)?,
-            "--max-concurrency" => {
-                args.max_concurrency = num("--max-concurrency", value("--max-concurrency")?)?
-            }
-            "--queue-depth" => args.queue_depth = num("--queue-depth", value("--queue-depth")?)?,
-            "--ttft-deadline" => {
-                args.ttft_deadline_ms = num("--ttft-deadline", value("--ttft-deadline")?)?
-            }
-            "--tpot-deadline" => {
-                args.tpot_deadline_ms = num("--tpot-deadline", value("--tpot-deadline")?)?
-            }
-            "--kv-budget" => args.kv_budget = num("--kv-budget", value("--kv-budget")?)?,
-            "--bursty" => args.bursty = true,
-            "--seed" => args.seed = num("--seed", value("--seed")?)?,
-            "--chip" => args.chip = value("--chip")?,
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer".to_string())?
-            }
-            "--trace-out" | "--trace" => args.trace = Some(value("--trace-out")?),
-            "--monitor" => args.monitor = true,
-            "--slo" => args.slo = true,
-            "--flight-out" => args.flight_out = Some(value("--flight-out")?),
-            "--format" => args.format = value("--format")?,
-            "--once" => args.once = true,
-            "--span" => args.span_s = num("--span", value("--span")?)?,
-            "--refresh-ms" => args.refresh_ms = num("--refresh-ms", value("--refresh-ms")?)?,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown generative serve flag '{other}'")),
-        }
-    }
+/// A generative run as `serve --generative` and `top --generative`
+/// read it: the flags, the model, the accelerator, the scenario, and
+/// the monitor's deadline-derived objectives.
+struct GenRun {
+    args: GenServe,
+    model: GenerativeConfig,
+    accel: Accelerator,
+    scenario: GenerativeScenario,
+    live: GenLiveConfig,
+}
+
+fn gen_run(argv: &[String]) -> Result<GenRun, CliError> {
+    let mut args = GenServe::new();
+    // `--generative` is the mode selector main() already routed on.
+    scan(argv, "generative serve ", &[], |flag, s| {
+        Ok(flag == "--generative" || args.flag(flag, s)?)
+    })
+    .map_err(CliError::Usage)?;
+    let usage = |e: &str| Err(CliError::Usage(e.into()));
     if args.min_new == 0 || args.max_new < args.min_new {
-        return Err("--min-new must be at least 1 and --max-new at least --min-new".into());
+        return usage("--min-new must be at least 1 and --max-new at least --min-new");
     }
     if !(args.kv_budget > 0.0 && args.kv_budget <= 1.0) {
-        return Err("--kv-budget must be in (0, 1]".into());
+        return usage("--kv-budget must be in (0, 1]");
     }
     if !matches!(args.format.as_str(), "json" | "prom") {
-        return Err(format!(
+        return usage(&format!(
             "--format must be json or prom, got '{}'",
             args.format
         ));
     }
     if args.span_s <= 0.0 {
-        return Err("--span must be positive".into());
+        return usage("--span must be positive");
     }
-    Ok(args)
-}
-
-/// The deadline-derived burn-rate objectives of a generative run: a
-/// p99 objective per finite deadline (an infinite deadline means "no
-/// SLO", matching the engine's violation accounting).
-fn gen_live_config(args: &GenServeArgs) -> GenLiveConfig {
+    let Some(model) = gen_model_by_name(&args.gen_model) else {
+        let name = &args.gen_model;
+        return usage(&format!(
+            "unknown generative model '{name}' (use gpt1b or tiny)"
+        ));
+    };
+    let accel = accelerator(&args.chip, false)?;
+    let kv = KvCacheConfig::for_chip_with_budget(
+        accel.config(),
+        model.kv_bytes_per_token(),
+        args.kv_budget,
+    );
+    let scenario = GenerativeScenario {
+        duration_ms: args.duration_ms,
+        seed: args.seed,
+        arrival: arrival(args.bursty, args.qps, args.duration_ms),
+        prompt_tokens: args.prompt,
+        min_new_tokens: args.min_new,
+        max_new_tokens: args.max_new,
+        max_concurrency: args.max_concurrency,
+        queue_depth: args.queue_depth,
+        ttft_deadline_ms: args.ttft_deadline_ms,
+        tpot_deadline_ms: args.tpot_deadline_ms,
+        kv,
+    };
+    // A p99 objective per finite deadline (an infinite deadline means
+    // "no SLO", matching the engine's violation accounting).
     let spec = |metric: &str, deadline_ms: f64| {
         deadline_ms.is_finite().then(|| {
             SloSpec::new(
@@ -755,82 +1039,43 @@ fn gen_live_config(args: &GenServeArgs) -> GenLiveConfig {
             )
         })
     };
-    GenLiveConfig {
+    let live = GenLiveConfig {
         ttft_slo: spec("ttft", args.ttft_deadline_ms),
         tpot_slo: spec("tpot", args.tpot_deadline_ms),
         tenant: args.gen_model.clone(),
         ..GenLiveConfig::default()
-    }
-}
-
-fn gen_scenario(
-    args: &GenServeArgs,
-    accel: &Accelerator,
-    gen_cfg: &GenerativeConfig,
-) -> GenerativeScenario {
-    let kv = KvCacheConfig::for_chip_with_budget(
-        accel.config(),
-        gen_cfg.kv_bytes_per_token(),
-        args.kv_budget,
-    );
-    GenerativeScenario {
-        duration_ms: args.duration_ms,
-        seed: args.seed,
-        arrival: if args.bursty {
-            ArrivalProcess::Bursty {
-                base_qps: 0.5 * args.qps,
-                burst_qps: 2.5 * args.qps,
-                mean_dwell_ms: args.duration_ms / 8.0,
-            }
-        } else {
-            ArrivalProcess::Poisson { qps: args.qps }
-        },
-        prompt_tokens: args.prompt,
-        min_new_tokens: args.min_new,
-        max_new_tokens: args.max_new,
-        max_concurrency: args.max_concurrency,
-        queue_depth: args.queue_depth,
-        ttft_deadline_ms: args.ttft_deadline_ms,
-        tpot_deadline_ms: args.tpot_deadline_ms,
-        kv,
-    }
-}
-
-fn run_genserve() -> ExitCode {
-    let args = match parse_genserve_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
     };
-    let Some(gen_cfg) = gen_model_by_name(&args.gen_model) else {
+    Ok(GenRun {
+        args,
+        model,
+        accel,
+        scenario,
+        live,
+    })
+}
+
+/// Stderr lines for a generative monitor's alert log.
+fn report_gen_alerts(tag: &str, mon: &GenMonitor) {
+    for a in &mon.alerts {
         eprintln!(
-            "error: unknown generative model '{}' (use gpt1b or tiny)\n\n{}",
-            args.gen_model,
-            usage()
+            "[{tag}] t={:.2}s {} alert `{}` (burn fast {:.1} / slow {:.1})",
+            a.t_ns / 1e9,
+            a.kind.name(),
+            a.slo,
+            a.burn_fast,
+            a.burn_slow
         );
-        return ExitCode::FAILURE;
-    };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+}
 
-    let scenario = gen_scenario(&args, &accel, &gen_cfg);
+fn run_genserve(argv: &[String]) -> Result<(), CliError> {
+    let GenRun {
+        args,
+        model,
+        accel,
+        scenario,
+        live,
+    } = gen_run(argv)?;
 
     eprintln!(
         "[serve --generative] {} ({} prompt tokens, {}..{} new), {:.0} qps{} over {:.0} ms, \
@@ -848,29 +1093,23 @@ fn run_genserve() -> ExitCode {
         args.jobs
     );
 
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
+    let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
     let chrome_trace = args.trace.as_deref().is_some_and(|p| p.ends_with(".json"));
     let monitored = args.monitor || args.slo || args.flight_out.is_some();
     let mut buf = TraceBuffer::new();
-    let mut mon = monitored.then(|| GenMonitor::new(gen_live_config(&args)));
+    let mut mon = monitored.then(|| GenMonitor::new(live));
     let started = std::time::Instant::now();
-    let result = if let Some(mon) = mon.as_mut() {
+    let out = if let Some(mon) = mon.as_mut() {
         // Monitored: the live path. The monitor is observational, so
         // stdout stays byte-identical to the plain run.
         dtu_harness::run_generative_serve_live(
-            &accel, &gen_cfg, &scenario, &cache, None, args.jobs, mon,
+            &accel, &model, &scenario, &cache, None, args.jobs, mon,
         )
     } else {
         let rec: Option<&mut dyn Recorder> = if chrome_trace { Some(&mut buf) } else { None };
-        dtu_harness::run_generative_serve(&accel, &gen_cfg, &scenario, &cache, args.jobs, rec)
-    };
-    let out = match result {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("generative serve error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        dtu_harness::run_generative_serve(&accel, &model, &scenario, &cache, args.jobs, rec)
+    }
+    .map_err(step_error("generative serve"))?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     if chrome_trace && monitored {
         // The live path has no recorder attached; rebuild the exact
@@ -913,16 +1152,7 @@ fn run_genserve() -> ExitCode {
         s.misses
     );
     if let Some(mon) = &mon {
-        for a in &mon.alerts {
-            eprintln!(
-                "[serve --generative] t={:.2}s {} alert `{}` (burn fast {:.1} / slow {:.1})",
-                a.t_ns / 1e9,
-                a.kind.name(),
-                a.slo,
-                a.burn_fast,
-                a.burn_slow
-            );
-        }
+        report_gen_alerts("serve --generative", mon);
         eprintln!(
             "[serve --generative] monitor: {} preemptions, {} kv exhaustions; \
              flight recorder: {} spans in ring, {} dumps ({} triggers)",
@@ -935,32 +1165,13 @@ fn run_genserve() -> ExitCode {
     }
 
     if let (Some(path), Some(mon)) = (&args.flight_out, mon.as_mut()) {
-        if mon.flight.dumps().is_empty() {
-            // Nothing went wrong: snapshot the ring at end of run so
-            // the flag always produces a trace.
-            let end_ns = mon.now_ns();
-            mon.flight.trigger("end-of-run snapshot", end_ns);
-        }
+        let end_ns = mon.now_ns();
+        let dumps = end_of_run_snapshot(&mut mon.flight, end_ns);
         // Prefer the KV-pressure dump (it names the preempted
         // request), then the first burn-rate page, then whatever came
         // first.
-        let dumps = mon.flight.dumps();
-        let dump = dumps
-            .iter()
-            .find(|d| d.reason.starts_with("kv-exhaustion"))
-            .or_else(|| dumps.iter().find(|d| d.reason.starts_with("alert")))
-            .or_else(|| dumps.first())
-            .expect("just ensured");
-        if let Err(e) = std::fs::write(path, dump.to_chrome_trace(true)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[serve --generative] flight dump `{}` ({} spans at t={:.2}s) written to {path}",
-            dump.reason,
-            dump.spans.len(),
-            dump.at_ns / 1e9
-        );
+        let prefer = ["kv-exhaustion", "alert"];
+        write_flight_dump(dumps, &prefer, path, "serve --generative")?;
     }
 
     if let Some(path) = &args.trace {
@@ -969,180 +1180,91 @@ fn run_genserve() -> ExitCode {
         } else {
             out.trace.to_jsonl()
         };
-        if let Err(e) = std::fs::write(path, payload) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, payload)?;
         eprintln!(
             "[serve --generative] trace written to {path} ({} events)",
             out.trace.len()
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct SweepArgs {
-    models: Vec<String>,
-    batches: Vec<usize>,
-    chip: String,
-    jobs: usize,
-    format: String,
-    wall_out: Option<String>,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
-    check_golden: Option<String>,
-    write_golden: Option<String>,
+flags! {
+    /// `sweep`'s flags.
+    struct Sweep {
+        models: Vec<String> = strings(&["resnet50", "vgg16", "bert"]), "--models" => Scanner::names;
+        batches: Vec<usize> = vec![1, 2, 4, 8], "--batches" => |s: &mut Scanner| s.list(batch_size);
+        chip: String = "i20".into(), "--chip" => Scanner::value;
+        jobs: usize = available_jobs(), "--jobs" => Scanner::num;
+        format: String = "table".into(), "--format" => Scanner::value;
+        wall_out: Option<String> = None, "--wall-out" => some(Scanner::value);
+        cache_dir: Option<String> = None, "--cache-dir" => some(Scanner::value);
+        disk_cache: bool = true, "--no-disk-cache" => off;
+        check_golden: Option<String> = None, "--check-golden" => some(Scanner::value);
+        write_golden: Option<String> = None, "--write-golden" => some(Scanner::value);
+    }
 }
 
-fn parse_sweep_args() -> Result<SweepArgs, String> {
-    let mut args = SweepArgs {
-        models: vec!["resnet50".into(), "vgg16".into(), "bert".into()],
-        batches: vec![1, 2, 4, 8],
-        chip: "i20".into(),
-        jobs: available_jobs(),
-        format: "table".into(),
-        wall_out: None,
-        cache_dir: None,
-        disk_cache: true,
-        check_golden: None,
-        write_golden: None,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--models" => {
-                args.models = value("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--check-golden" => args.check_golden = Some(value("--check-golden")?),
-            "--write-golden" => args.write_golden = Some(value("--write-golden")?),
-            "--batches" => {
-                args.batches = value("--batches")?
-                    .split(',')
-                    .map(|s| match s.trim().parse() {
-                        Ok(b) if b > 0 => Ok(b),
-                        _ => Err(format!("bad batch size '{}'", s.trim())),
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            "--chip" => args.chip = value("--chip")?,
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer".to_string())?
-            }
-            "--format" => args.format = value("--format")?,
-            "--wall-out" => args.wall_out = Some(value("--wall-out")?),
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown sweep flag '{other}'")),
-        }
+fn batch_size(b: &str) -> Result<usize, String> {
+    match b.parse() {
+        Ok(b) if b > 0 => Ok(b),
+        _ => Err(format!("bad batch size '{b}'")),
     }
-    if args.models.is_empty() || args.batches.is_empty() {
-        return Err("sweep needs at least one model and one batch".into());
-    }
-    if !matches!(args.format.as_str(), "table" | "json") {
-        return Err(format!(
-            "--format must be table or json, got '{}'",
-            args.format
-        ));
-    }
-    if args.check_golden.is_some() && args.write_golden.is_some() {
-        return Err("--check-golden and --write-golden are mutually exclusive".into());
-    }
-    Ok(args)
 }
 
 /// The `sweep --write-golden` / `--check-golden` modes: regenerate the
 /// fig. 12–15 figure data through the shared cache and either commit it
 /// as the golden or gate against it at [`dtu_harness::GOLDEN_RTOL`].
-fn run_golden(args: &SweepArgs, cache: &SessionCache) -> ExitCode {
+fn run_golden(args: &Sweep, cache: &SessionCache) -> Result<(), CliError> {
     let regenerated = dtu_bench::figures_json(cache, args.jobs);
     if let Some(path) = &args.write_golden {
-        if let Err(e) = std::fs::write(path, format!("{regenerated}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, format!("{regenerated}\n"))?;
         println!("golden figures written to {path}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     let path = args.check_golden.as_deref().expect("validated");
-    let golden = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read golden {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match dtu_harness::compare_golden(golden.trim_end(), &regenerated, dtu_harness::GOLDEN_RTOL) {
-        Ok(()) => {
-            println!("golden figures OK: {path} matches within 1e-9 relative tolerance");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!(
+    let golden = std::fs::read_to_string(path)
+        .map_err(|e| fail(format!("cannot read golden {path}: {e}")))?;
+    dtu_harness::compare_golden(golden.trim_end(), &regenerated, dtu_harness::GOLDEN_RTOL)
+        .map_err(|e| {
+            CliError::Run(format!(
                 "golden figure regression against {path}: {e}\n\
                  if the change is intentional, regenerate with\n\
                  \x20 topsexec sweep --write-golden {path}\n\
                  and commit the diff (see docs/CLI.md)"
-            );
-            ExitCode::FAILURE
-        }
-    }
+            ))
+        })?;
+    println!("golden figures OK: {path} matches within 1e-9 relative tolerance");
+    Ok(())
 }
 
-fn run_sweep_cmd() -> ExitCode {
-    let args = match parse_sweep_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_sweep_cmd(argv: &[String]) -> Result<(), CliError> {
+    let mut args = Sweep::new();
+    scan(argv, "sweep ", &[], |flag, s| args.flag(flag, s)).map_err(CliError::Usage)?;
+    let usage = |e: &str| Err(CliError::Usage(e.into()));
+    if args.models.is_empty() || args.batches.is_empty() {
+        return usage("sweep needs at least one model and one batch");
+    }
+    if !matches!(args.format.as_str(), "table" | "json") {
+        return usage(&format!(
+            "--format must be table or json, got '{}'",
+            args.format
+        ));
+    }
+    if args.check_golden.is_some() && args.write_golden.is_some() {
+        return usage("--check-golden and --write-golden are mutually exclusive");
+    }
+    let accel = accelerator(&args.chip, false)?;
     if args.check_golden.is_some() || args.write_golden.is_some() {
-        let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
+        let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
         return run_golden(&args, &cache);
     }
-    let mut grid = Vec::new();
-    for name in &args.models {
-        let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        grid.push(SweepModel::new(name.clone(), move |b| m.build(b)));
-    }
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
+    let grid = table_models(&args.models)?;
+    let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
 
     let started = std::time::Instant::now();
-    let report = match run_sweep(&accel, &grid, &args.batches, &cache, args.jobs) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sweep error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let report =
+        run_sweep(&accel, &grid, &args.batches, &cache, args.jobs).map_err(step_error("sweep"))?;
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // The report itself is schedule-independent and goes to stdout;
@@ -1172,144 +1294,82 @@ fn run_sweep_cmd() -> ExitCode {
             .int("points", report.points.len() as i64)
             .raw("interpreted_wall_ms", &number(wall_ms))
             .build();
-        if let Err(e) = std::fs::write(path, format!("{payload}\n")) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_file(path, format!("{payload}\n"))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct FaultsArgs {
-    models: Vec<String>,
-    plans: Vec<String>,
-    severities: Vec<f64>,
-    seed: u64,
-    chip: String,
-    jobs: usize,
-    format: String,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
+flags! {
+    /// The model x fault-plan x severity grid flags `faults` and `slo`
+    /// share.
+    struct Grid {
+        models: Vec<String> = Vec::new(), "--models" => Scanner::names;
+        plans: Vec<String> = Vec::new(), "--plans" => Scanner::names;
+        severities: Vec<f64> = Vec::new(), "--severities" => |s: &mut Scanner| s.list(severity);
+        seed: u64 = 7, "--seed" => Scanner::num;
+        chip: String = "i20".into(), "--chip" => Scanner::value;
+        jobs: usize = available_jobs(), "--jobs" => Scanner::num;
+        format: String = "json".into(), "--format" => Scanner::value;
+        cache_dir: Option<String> = None, "--cache-dir" => some(Scanner::value);
+        disk_cache: bool = true, "--no-disk-cache" => off;
+    }
 }
 
-fn parse_faults_args() -> Result<FaultsArgs, String> {
-    let mut args = FaultsArgs {
-        models: Vec::new(),
-        plans: vec![
-            "none".into(),
-            "core-failure".into(),
-            "ecc".into(),
-            "dma-stall".into(),
-            "thermal".into(),
-        ],
-        severities: vec![0.5, 1.0],
-        seed: 7,
-        chip: "i20".into(),
-        jobs: available_jobs(),
-        format: "json".into(),
-        cache_dir: None,
-        disk_cache: true,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--models" | "--model" => {
-                args.models = value("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--plans" | "--plan" => {
-                args.plans = value("--plans")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--severities" | "--severity" => {
-                args.severities = value("--severities")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|_| format!("bad severity '{}'", s.trim()))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?
-            }
-            "--chip" => args.chip = value("--chip")?,
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer".to_string())?
-            }
-            "--format" => args.format = value("--format")?,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--help" | "-h" => return Err(String::new()),
-            name if !name.starts_with('-') => args.models.push(name.to_string()),
-            other => return Err(format!("unknown faults flag '{other}'")),
-        }
-    }
-    if args.models.is_empty() {
-        args.models.push("resnet50".into());
-    }
-    if args.plans.is_empty() || args.severities.is_empty() {
-        return Err("faults needs at least one plan and one severity".into());
-    }
-    if !matches!(args.format.as_str(), "table" | "json") {
-        return Err(format!(
-            "--format must be table or json, got '{}'",
-            args.format
-        ));
-    }
-    Ok(args)
+fn severity(v: &str) -> Result<f64, String> {
+    v.parse().map_err(|_| format!("bad severity '{v}'"))
 }
 
-fn run_faults() -> ExitCode {
-    let args = match parse_faults_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
+impl Grid {
+    /// Scans `sub`'s argv over these defaults; `own` takes the flags
+    /// only `sub` has. Positional words are model names.
+    fn scan(
+        &mut self,
+        argv: &[String],
+        sub: &str,
+        mut own: impl FnMut(&str, &mut Scanner) -> Result<bool, String>,
+    ) -> Result<(), CliError> {
+        let aliases = [
+            ("--model", "--models"),
+            ("--plan", "--plans"),
+            ("--severity", "--severities"),
+        ];
+        scan(argv, &format!("{sub} "), &aliases, |flag, s| {
+            if !flag.starts_with('-') {
+                self.models.push(flag.into());
+                return Ok(true);
             }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
+            Ok(own(flag, s)? || self.flag(flag, s)?)
+        })
+        .map_err(CliError::Usage)?;
+        if self.models.is_empty() {
+            self.models.push("resnet50".into());
         }
-    };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        let usage = |e: String| Err(CliError::Usage(e));
+        if self.plans.is_empty() || self.severities.is_empty() {
+            return usage(format!("{sub} needs at least one plan and one severity"));
         }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        if !matches!(self.format.as_str(), "table" | "json") {
+            return usage(format!(
+                "--format must be table or json, got '{}'",
+                self.format
+            ));
         }
-    };
-    let mut grid = Vec::new();
-    for name in &args.models {
-        let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        grid.push(SweepModel::new(name.clone(), move |b| m.build(b)));
+        Ok(())
     }
+}
+
+fn run_faults(argv: &[String]) -> Result<(), CliError> {
+    let mut args = Grid::new();
+    args.plans = strings(&["none", "core-failure", "ecc", "dma-stall", "thermal"]);
+    args.severities = vec![0.5, 1.0];
+    args.scan(argv, "faults", |_, _| Ok(false))?;
+    let accel = accelerator(&args.chip, false)?;
+    let grid = table_models(&args.models)?;
     let plans: Vec<&str> = args.plans.iter().map(String::as_str).collect();
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
+    let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
 
     let started = std::time::Instant::now();
-    let report = match run_fault_sweep(
+    let report = run_fault_sweep(
         &accel,
         &grid,
         &plans,
@@ -1317,13 +1377,8 @@ fn run_faults() -> ExitCode {
         args.seed,
         &cache,
         args.jobs,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("faults error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(step_error("faults"))?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Like `sweep`: the report is schedule-independent and goes to
@@ -1347,113 +1402,18 @@ fn run_faults() -> ExitCode {
         report.cache.disk_hits,
         report.cache.misses
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct TopArgs {
-    models: Vec<String>,
-    qps: f64,
-    duration_ms: f64,
-    max_batch: usize,
-    batch_timeout_ms: f64,
-    deadline_ms: f64,
-    queue_depth: usize,
-    bursty: bool,
-    autoscale: bool,
-    seed: u64,
-    chip: String,
-    plan: String,
-    severity: f64,
-    once: bool,
-    span_s: f64,
-    refresh_ms: u64,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
-}
-
-fn parse_top_args() -> Result<TopArgs, String> {
-    let mut args = TopArgs {
-        models: vec!["resnet50".into(), "bert".into()],
-        qps: 400.0,
-        duration_ms: 10_000.0,
-        max_batch: 8,
-        batch_timeout_ms: 2.0,
-        deadline_ms: 50.0,
-        queue_depth: 64,
-        bursty: false,
-        autoscale: true,
-        seed: 0x5EED,
-        chip: "i20".into(),
-        plan: "none".into(),
-        severity: 1.0,
-        once: false,
-        span_s: 5.0,
-        refresh_ms: 150,
-        cache_dir: None,
-        disk_cache: true,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
-            v.parse().map_err(|_| format!("{flag} needs a number"))
-        }
-        match a.as_str() {
-            "--models" => {
-                args.models = value("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--qps" => args.qps = parse_qps(&value("--qps")?)?,
-            "--duration" => args.duration_ms = num("--duration", value("--duration")?)?,
-            "--max-batch" => args.max_batch = num("--max-batch", value("--max-batch")?)?,
-            "--batch-timeout" => {
-                args.batch_timeout_ms = num("--batch-timeout", value("--batch-timeout")?)?
-            }
-            "--deadline" => args.deadline_ms = num("--deadline", value("--deadline")?)?,
-            "--queue-depth" => args.queue_depth = num("--queue-depth", value("--queue-depth")?)?,
-            "--bursty" => args.bursty = true,
-            "--no-autoscale" => args.autoscale = false,
-            "--seed" => args.seed = num("--seed", value("--seed")?)?,
-            "--chip" => args.chip = value("--chip")?,
-            "--plan" => args.plan = value("--plan")?,
-            "--severity" => args.severity = num("--severity", value("--severity")?)?,
-            "--once" => args.once = true,
-            "--span" => args.span_s = num("--span", value("--span")?)?,
-            "--refresh-ms" => args.refresh_ms = num("--refresh-ms", value("--refresh-ms")?)?,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown top flag '{other}'")),
-        }
+flags! {
+    /// `top`'s own flags.
+    struct Top {
+        plan: String = "none".into(), "--plan" => Scanner::value;
+        severity: f64 = 1.0, "--severity" => Scanner::num;
+        once: bool = false, "--once" => on;
+        span_s: f64 = 5.0, "--span" => Scanner::num;
+        refresh_ms: u64 = 150, "--refresh-ms" => Scanner::num;
     }
-    if args.models.is_empty() {
-        return Err("--models needs at least one model name".into());
-    }
-    if args.span_s <= 0.0 {
-        return Err("--span must be positive".into());
-    }
-    Ok(args)
-}
-
-/// Whether tenant `idx`'s burn-rate alert is firing at simulated time
-/// `t_ns`, reconstructed from the alert log (the tracker only holds
-/// end-of-run state, and `top` replays history).
-fn firing_at(mon: &LiveMonitor, idx: usize, t_ns: f64) -> bool {
-    let mut firing = false;
-    for (tenant, a) in &mon.alerts {
-        if *tenant != idx || a.t_ns > t_ns {
-            continue;
-        }
-        match a.kind {
-            dtu::telemetry::AlertKind::BurnRate => firing = true,
-            dtu::telemetry::AlertKind::Resolved => firing = false,
-            dtu::telemetry::AlertKind::Fault => {}
-        }
-    }
-    firing
 }
 
 /// One dashboard frame at simulated time `t_ns`, rows aggregated over
@@ -1484,6 +1444,7 @@ fn render_top(mon: &LiveMonitor, t_ns: f64, span_ns: f64) -> String {
     );
     for (idx, ten) in mon.tenants().iter().enumerate() {
         let r = ten.row(t_ns, span_ns);
+        let tenant_alerts = mon.alerts.iter().filter(|(t, _)| *t == idx);
         let _ = writeln!(
             out,
             "{:<12} {:>8.0} {:>8.1} {:>8.1} {:>9.3} {:>9.3} {:>6.2} {:>8.2} {:>8.2} {:>6}",
@@ -1496,122 +1457,56 @@ fn render_top(mon: &LiveMonitor, t_ns: f64, span_ns: f64) -> String {
             r.mean_batch,
             r.burn_fast,
             r.burn_slow,
-            if firing_at(mon, idx, t_ns) {
-                "FIRE"
-            } else {
-                "-"
-            }
+            alert_mark(tenant_alerts.map(|(_, a)| a), t_ns)
         );
     }
     out
 }
 
-fn run_top() -> ExitCode {
-    let args = match parse_top_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
-    let mut models = Vec::new();
-    for name in &args.models {
-        let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        models.push(
-            CompiledModel::new(accel.chip(), name.clone(), move |b| m.build(b)).with_source(&cache),
-        );
+fn run_top(argv: &[String]) -> Result<(), CliError> {
+    let (mut t, mut args) = (Traffic::new(), Top::new());
+    t.duration_ms = 10_000.0;
+    scan(argv, "top ", &[], |flag, s| {
+        Ok(args.flag(flag, s)? || t.flag(flag, s)?)
+    })
+    .map_err(CliError::Usage)?;
+    t.check()?;
+    if args.span_s <= 0.0 {
+        return Err(CliError::Usage("--span must be positive".into()));
     }
+    let accel = accelerator(&t.chip, false)?;
+    let cache = artifact_cache(t.cache_dir.as_deref(), t.disk_cache);
+    let mut models = compiled_models(&t.models, &accel, &cache)?;
 
     let chip = accel.config();
-    let faults = match FaultPlan::preset(
+    let faults = FaultPlan::preset(
         &args.plan,
-        args.seed,
+        t.seed,
         args.severity,
         chip.clusters,
         chip.groups_per_cluster,
-        args.duration_ms * 1e6,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let gpc = chip.groups_per_cluster;
-    let cfg = ServeConfig {
-        duration_ms: args.duration_ms,
-        seed: args.seed,
-        record_requests: false,
-        faults,
-        retry: Default::default(),
-        tenants: (0..models.len())
-            .map(|i| TenantSpec {
-                name: args.models[i].clone(),
-                model: i,
-                arrival: if args.bursty {
-                    ArrivalProcess::Bursty {
-                        base_qps: 0.5 * args.qps,
-                        burst_qps: 2.5 * args.qps,
-                        mean_dwell_ms: args.duration_ms / 8.0,
-                    }
-                } else {
-                    ArrivalProcess::Poisson { qps: args.qps }
-                },
-                batch: if args.max_batch > 1 {
-                    BatchPolicy::dynamic(args.max_batch, args.batch_timeout_ms)
-                } else {
-                    BatchPolicy::none()
-                },
-                sla: SlaPolicy::new(args.deadline_ms, args.queue_depth),
-                scale: if args.autoscale {
-                    ScalePolicy::elastic(args.deadline_ms / 4.0, args.deadline_ms / 20.0, gpc)
-                } else {
-                    ScalePolicy::none()
-                },
-                cluster: None,
-                initial_groups: 1,
-            })
-            .collect(),
-    };
+        t.duration_ms * 1e6,
+    )
+    .map_err(fail)?;
+    let cfg = t.config(chip.groups_per_cluster, faults, |i| t.models[i].clone());
 
     eprintln!(
         "[top] {} tenants ({}), {:.0} qps each, {:.0} ms horizon, plan {} s{:.2}, \
          SLO p99 < {:.0} ms",
         cfg.tenants.len(),
-        args.models.join(", "),
-        args.qps,
-        args.duration_ms,
+        t.models.join(", "),
+        t.qps,
+        t.duration_ms,
         args.plan,
         args.severity,
-        args.deadline_ms
+        t.deadline_ms
     );
 
     let mut mon = LiveMonitor::new(LiveConfig {
         slo: Some(SloSpec::new(
-            format!("p99<{:.0}ms", args.deadline_ms),
+            format!("p99<{:.0}ms", t.deadline_ms),
             0.99,
-            args.deadline_ms,
+            t.deadline_ms,
         )),
         ..LiveConfig::default()
     });
@@ -1624,28 +1519,13 @@ fn run_top() -> ExitCode {
         // A fault killed a tenant's last group: the dashboard still
         // shows everything the monitor saw up to the outage.
         Err(ServeError::Sim(dtu_sim::SimError::Fault(e))) => Some(e.to_string()),
-        Err(e) => {
-            eprintln!("top error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return Err(step_error("top")(e)),
     };
 
     let span_ns = args.span_s * 1e9;
-    let end_ns = mon.now_ns();
-    if args.once {
-        print!("{}", render_top(&mon, end_ns, span_ns));
-    } else {
-        // The run is already simulated; replay it one evaluation
-        // window per frame against the retained rings.
-        let frames = (end_ns / 1e9).ceil().max(1.0) as u64;
-        for f in 1..=frames {
-            let t_ns = (f as f64 * 1e9).min(end_ns);
-            print!("\x1b[2J\x1b[H{}", render_top(&mon, t_ns, span_ns));
-            use std::io::Write;
-            let _ = std::io::stdout().flush();
-            std::thread::sleep(std::time::Duration::from_millis(args.refresh_ms));
-        }
-    }
+    show_dashboard(args.once, mon.now_ns(), args.refresh_ms, |t_ns| {
+        render_top(&mon, t_ns, span_ns)
+    });
     for (idx, a) in &mon.alerts {
         eprintln!(
             "[top] t={:.2}s {} alert `{}` (tenant {}, burn fast {:.1} / slow {:.1})",
@@ -1666,25 +1546,7 @@ fn run_top() -> ExitCode {
         mon.flight.dumps().len(),
         mon.flight.triggers()
     );
-    ExitCode::SUCCESS
-}
-
-/// Whether a generative burn-rate alert for objective `slo` is firing
-/// at simulated time `t_ns`, replayed from the alert log (like
-/// [`firing_at`], but objectives are named, not indexed).
-fn gen_firing_at(mon: &GenMonitor, slo: &str, t_ns: f64) -> bool {
-    let mut firing = false;
-    for a in &mon.alerts {
-        if a.slo != slo || a.t_ns > t_ns {
-            continue;
-        }
-        match a.kind {
-            dtu::telemetry::AlertKind::BurnRate => firing = true,
-            dtu::telemetry::AlertKind::Resolved => firing = false,
-            dtu::telemetry::AlertKind::Fault => {}
-        }
-    }
-    firing
+    Ok(())
 }
 
 /// One generative dashboard frame at simulated time `t_ns`: the
@@ -1739,14 +1601,10 @@ fn render_gen_top(mon: &GenMonitor, t_ns: f64, span_ns: f64) -> String {
     ];
     for (metric, tracker, p50, p99, burn_fast, burn_slow) in rows {
         let (name, fire) = match tracker {
-            Some(t) => (
-                t.spec.name.clone(),
-                if gen_firing_at(mon, &t.spec.name, t_ns) {
-                    "FIRE"
-                } else {
-                    "-"
-                },
-            ),
+            Some(t) => {
+                let slo_alerts = mon.alerts.iter().filter(|a| a.slo == t.spec.name);
+                (t.spec.name.clone(), alert_mark(slo_alerts, t_ns))
+            }
             None => (metric.to_string(), "off"),
         };
         let _ = writeln!(
@@ -1758,40 +1616,14 @@ fn render_gen_top(mon: &GenMonitor, t_ns: f64, span_ns: f64) -> String {
     out
 }
 
-fn run_gen_top() -> ExitCode {
-    let args = match parse_genserve_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(gen_cfg) = gen_model_by_name(&args.gen_model) else {
-        eprintln!(
-            "error: unknown generative model '{}' (use gpt1b or tiny)\n\n{}",
-            args.gen_model,
-            usage()
-        );
-        return ExitCode::FAILURE;
-    };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let scenario = gen_scenario(&args, &accel, &gen_cfg);
+fn run_gen_top(argv: &[String]) -> Result<(), CliError> {
+    let GenRun {
+        args,
+        model,
+        accel,
+        scenario,
+        live,
+    } = gen_run(argv)?;
 
     eprintln!(
         "[top --generative] {} at {:.0} qps over {:.0} ms, concurrency {}, \
@@ -1805,178 +1637,47 @@ fn run_gen_top() -> ExitCode {
         args.tpot_deadline_ms
     );
 
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
-    let mut mon = GenMonitor::new(gen_live_config(&args));
-    if let Err(e) = dtu_harness::run_generative_serve_live(
-        &accel, &gen_cfg, &scenario, &cache, None, args.jobs, &mut mon,
-    ) {
-        eprintln!("top error: {e}");
-        return ExitCode::FAILURE;
-    }
+    let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
+    let mut mon = GenMonitor::new(live);
+    dtu_harness::run_generative_serve_live(
+        &accel, &model, &scenario, &cache, None, args.jobs, &mut mon,
+    )
+    .map_err(step_error("top"))?;
 
     let span_ns = args.span_s * 1e9;
-    let end_ns = mon.now_ns();
-    if args.once {
-        print!("{}", render_gen_top(&mon, end_ns, span_ns));
-    } else {
-        // The run is already simulated; replay it one evaluation
-        // window per frame against the retained rings.
-        let frames = (end_ns / 1e9).ceil().max(1.0) as u64;
-        for f in 1..=frames {
-            let t_ns = (f as f64 * 1e9).min(end_ns);
-            print!("\x1b[2J\x1b[H{}", render_gen_top(&mon, t_ns, span_ns));
-            use std::io::Write;
-            let _ = std::io::stdout().flush();
-            std::thread::sleep(std::time::Duration::from_millis(args.refresh_ms));
-        }
-    }
-    for a in &mon.alerts {
-        eprintln!(
-            "[top --generative] t={:.2}s {} alert `{}` (burn fast {:.1} / slow {:.1})",
-            a.t_ns / 1e9,
-            a.kind.name(),
-            a.slo,
-            a.burn_fast,
-            a.burn_slow
-        );
-    }
+    show_dashboard(args.once, mon.now_ns(), args.refresh_ms, |t_ns| {
+        render_gen_top(&mon, t_ns, span_ns)
+    });
+    report_gen_alerts("top --generative", &mon);
     eprintln!(
         "[top --generative] flight recorder: {} spans in ring, {} dumps ({} triggers)",
         mon.flight.len(),
         mon.flight.dumps().len(),
         mon.flight.triggers()
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct SloArgs {
-    models: Vec<String>,
-    plans: Vec<String>,
-    severities: Vec<f64>,
-    seed: u64,
-    chip: String,
-    jobs: usize,
-    format: String,
-    flight_out: Option<String>,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
+flags! {
+    /// `slo`'s own flags.
+    struct Slo {
+        flight_out: Option<String> = None, "--flight-out" => some(Scanner::value);
+    }
 }
 
-fn parse_slo_args() -> Result<SloArgs, String> {
-    let mut args = SloArgs {
-        models: Vec::new(),
-        plans: vec!["none".into()],
-        severities: vec![1.0],
-        seed: 7,
-        chip: "i20".into(),
-        jobs: available_jobs(),
-        format: "json".into(),
-        flight_out: None,
-        cache_dir: None,
-        disk_cache: true,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--models" | "--model" => {
-                args.models = value("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--plans" | "--plan" => {
-                args.plans = value("--plans")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--severities" | "--severity" => {
-                args.severities = value("--severities")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|_| format!("bad severity '{}'", s.trim()))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?
-            }
-            "--chip" => args.chip = value("--chip")?,
-            "--jobs" | "-j" => {
-                args.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer".to_string())?
-            }
-            "--format" => args.format = value("--format")?,
-            "--flight-out" => args.flight_out = Some(value("--flight-out")?),
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--help" | "-h" => return Err(String::new()),
-            name if !name.starts_with('-') => args.models.push(name.to_string()),
-            other => return Err(format!("unknown slo flag '{other}'")),
-        }
-    }
-    if args.models.is_empty() {
-        args.models.push("resnet50".into());
-    }
-    if args.plans.is_empty() || args.severities.is_empty() {
-        return Err("slo needs at least one plan and one severity".into());
-    }
-    if !matches!(args.format.as_str(), "table" | "json") {
-        return Err(format!(
-            "--format must be table or json, got '{}'",
-            args.format
-        ));
-    }
-    Ok(args)
-}
-
-fn run_slo() -> ExitCode {
-    let args = match parse_slo_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut grid = Vec::new();
-    for name in &args.models {
-        let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        grid.push(SweepModel::new(name.clone(), move |b| m.build(b)));
-    }
+fn run_slo(argv: &[String]) -> Result<(), CliError> {
+    let (mut args, mut own) = (Grid::new(), Slo::new());
+    args.plans = strings(&["none"]);
+    args.severities = vec![1.0];
+    args.scan(argv, "slo", |flag, s| own.flag(flag, s))?;
+    let accel = accelerator(&args.chip, false)?;
+    let grid = table_models(&args.models)?;
     let plans: Vec<&str> = args.plans.iter().map(String::as_str).collect();
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
+    let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
     let scenario = SloScenario::default();
 
     let started = std::time::Instant::now();
-    let report = match run_slo_sweep(
+    let report = run_slo_sweep(
         &accel,
         &grid,
         &plans,
@@ -1985,13 +1686,8 @@ fn run_slo() -> ExitCode {
         &scenario,
         &cache,
         args.jobs,
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("slo error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(step_error("slo"))?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // The report is schedule-independent and goes to stdout, so two
@@ -2016,12 +1712,12 @@ fn run_slo() -> ExitCode {
         report.cache.misses
     );
 
-    if let Some(path) = &args.flight_out {
+    if let Some(path) = &own.flight_out {
         // Re-run the first grid point with its content-derived seed
         // (warm cache, so this is cheap) to recover the monitor and
         // its flight recorder.
         let seed = slo_point_seed(grid[0].name(), plans[0], args.severities[0], args.seed);
-        let (_, mut mon) = match run_slo_scenario(
+        let (_, mut mon) = run_slo_scenario(
             &accel,
             &grid[0],
             plans[0],
@@ -2029,347 +1725,51 @@ fn run_slo() -> ExitCode {
             seed,
             &scenario,
             &cache,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("slo error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if mon.flight.dumps().is_empty() {
-            // Nothing went wrong: snapshot the ring at end of run so
-            // the flag always produces a trace.
-            let end_ns = mon.now_ns();
-            mon.flight.trigger("end-of-run snapshot", end_ns);
-        }
-        let dump = mon.flight.dumps().first().expect("just ensured");
-        if let Err(e) = std::fs::write(path, dump.to_chrome_trace(true)) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[slo] flight dump `{}` ({} spans at t={:.2}s) written to {path}",
-            dump.reason,
-            dump.spans.len(),
-            dump.at_ns / 1e9
-        );
+        )
+        .map_err(step_error("slo"))?;
+        let end_ns = mon.now_ns();
+        write_flight_dump(
+            end_of_run_snapshot(&mut mon.flight, end_ns),
+            &[],
+            path,
+            "slo",
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-struct ProfileArgs {
-    model: Option<String>,
-    import: Option<String>,
-    batch: usize,
-    chip: String,
-    groups: Option<usize>,
-    trace_out: String,
-    format: String,
-    no_power_management: bool,
+flags! {
+    /// `fleet`'s and `fleet top`'s flags.
+    struct Fleet {
+        models: Vec<String> = Vec::new(), "--models" => Scanner::names;
+        chips: usize = 4, "--chips" => Scanner::num;
+        cards: usize = 1, "--cards" => Scanner::num;
+        qps: Option<f64> = None, "--qps" => some(Scanner::qps);
+        duration_ms: f64 = 10_000.0, "--duration" => Scanner::num;
+        epoch_ms: f64 = 1_000.0, "--epoch" => Scanner::num;
+        replicas: usize = 0, "--replicas" => Scanner::num;
+        deadline_ms: f64 = 50.0, "--deadline" => Scanner::num;
+        queue_depth: usize = 256, "--queue-depth" => Scanner::num;
+        cells: usize = 2, "--cells" => Scanner::num;
+        roll: bool = true, "--no-roll" => off;
+        roll_start: Option<f64> = None, "--roll-start" => some(Scanner::num);
+        roll_chips: Option<usize> = None, "--roll-chips" => some(Scanner::num);
+        kill_chip: Option<usize> = None, "--kill-chip" => some(Scanner::num);
+        kill_at: Option<f64> = None, "--kill-at" => some(Scanner::num);
+        seed: u64 = 7, "--seed" => Scanner::num;
+        chip: String = "i20".into(), "--chip" => Scanner::value;
+        jobs: usize = available_jobs(), "--jobs" => Scanner::num;
+        format: String = "json".into(), "--format" => Scanner::value;
+        cache_dir: Option<String> = None, "--cache-dir" => some(Scanner::value);
+        disk_cache: bool = true, "--no-disk-cache" => off;
+        once: bool = false, "--once" => on;
+        refresh_ms: u64 = 150, "--refresh-ms" => Scanner::num;
+        slo: bool = false, "--slo" => on;
+        monitor: bool = false, "--monitor" => on;
+        flight_out: Option<String> = None, "--flight-out" => some(Scanner::value);
+    }
 }
 
-fn parse_profile_args() -> Result<ProfileArgs, String> {
-    let mut args = ProfileArgs {
-        model: None,
-        import: None,
-        batch: 1,
-        chip: "i20".into(),
-        groups: None,
-        trace_out: "topsexec.trace.json".into(),
-        format: "table".into(),
-        no_power_management: false,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
-            "--model" => args.model = Some(value("--model")?),
-            "--import" => args.import = Some(value("--import")?),
-            "--batch" => {
-                args.batch = value("--batch")?
-                    .parse()
-                    .map_err(|_| "--batch needs an integer".to_string())?
-            }
-            "--chip" => args.chip = value("--chip")?,
-            "--groups" => {
-                args.groups = Some(
-                    value("--groups")?
-                        .parse()
-                        .map_err(|_| "--groups needs an integer".to_string())?,
-                )
-            }
-            "--trace-out" | "--trace" => args.trace_out = value("--trace-out")?,
-            "--format" => args.format = value("--format")?,
-            "--no-power-management" => args.no_power_management = true,
-            "--help" | "-h" => return Err(String::new()),
-            name if !name.starts_with('-') && args.model.is_none() => {
-                args.model = Some(name.to_string())
-            }
-            other => return Err(format!("unknown profile flag '{other}'")),
-        }
-    }
-    if args.model.is_none() == args.import.is_none() {
-        return Err("profile needs a model name or --import <file>".into());
-    }
-    if !matches!(args.format.as_str(), "table" | "prometheus" | "json") {
-        return Err(format!(
-            "--format must be table, prometheus, or json, got '{}'",
-            args.format
-        ));
-    }
-    Ok(args)
-}
-
-fn run_profile() -> ExitCode {
-    let args = match parse_profile_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let graph = match load_graph(args.model.as_deref(), args.import.as_deref(), args.batch) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.no_power_management {
-        chip_cfg.features.power_management = false;
-    }
-    let accel = match Accelerator::with_config(chip_cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let size = match workload_size(args.groups) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let options = SessionOptions {
-        size,
-        batch: args.batch,
-        ..Default::default()
-    };
-
-    // Compiler phases, the session envelope, and the simulator's
-    // kernel/DMA/sync spans all land in one buffer on one clock.
-    let mut buf = TraceBuffer::new();
-    let session = match Session::compile_recorded(&accel, &graph, options, &mut buf) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = match session.run_recorded(&mut buf) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let groups = args.groups.unwrap_or_else(|| accel.config().total_groups());
-    // The compiler lowers to fp16 by default; fold the Table I
-    // throughput ratio into the roofline peak.
-    let machine = accel
-        .config()
-        .machine_spec(groups, DataType::Fp16.ops_multiplier());
-    let attr = AttributionReport::from_spans(buf.spans(), report.raw().latency_ns, machine);
-    for s in attr.operator_spans() {
-        buf.record(s);
-    }
-
-    if let Err(e) = std::fs::write(&args.trace_out, buf.to_chrome_trace(true)) {
-        eprintln!("error: cannot write {}: {e}", args.trace_out);
-        return ExitCode::FAILURE;
-    }
-
-    println!("=== topsexec profile ===");
-    println!("accelerator : {accel}");
-    println!("model       : {graph}");
-    println!(
-        "run         : {:.3} ms, {} operator segments, {} spans",
-        report.latency_ms(),
-        attr.ops.len(),
-        buf.len()
-    );
-    println!(
-        "trace       : {} (open in Perfetto / chrome://tracing)",
-        args.trace_out
-    );
-    println!();
-    match args.format.as_str() {
-        "prometheus" => print!("{}", attr.to_prometheus()),
-        "json" => println!("{}", attr.to_json()),
-        _ => print!("{}", attr.to_table()),
-    }
-    ExitCode::SUCCESS
-}
-
-struct FleetArgs {
-    models: Vec<String>,
-    chips: usize,
-    cards: usize,
-    qps: Option<f64>,
-    duration_ms: f64,
-    epoch_ms: f64,
-    replicas: usize,
-    deadline_ms: f64,
-    queue_depth: usize,
-    cells: usize,
-    roll: bool,
-    roll_start: Option<f64>,
-    roll_chips: Option<usize>,
-    kill_chip: Option<usize>,
-    kill_at: Option<f64>,
-    seed: u64,
-    chip: String,
-    jobs: usize,
-    format: String,
-    cache_dir: Option<PathBuf>,
-    disk_cache: bool,
-    top: bool,
-    once: bool,
-    refresh_ms: u64,
-    slo: bool,
-    monitor: bool,
-    flight_out: Option<String>,
-}
-
-fn parse_fleet_args() -> Result<FleetArgs, String> {
-    let mut args = FleetArgs {
-        models: Vec::new(),
-        chips: 4,
-        cards: 1,
-        qps: None,
-        duration_ms: 10_000.0,
-        epoch_ms: 1_000.0,
-        replicas: 0,
-        deadline_ms: 50.0,
-        queue_depth: 256,
-        cells: 2,
-        roll: true,
-        roll_start: None,
-        roll_chips: None,
-        kill_chip: None,
-        kill_at: None,
-        seed: 7,
-        chip: "i20".into(),
-        jobs: available_jobs(),
-        format: "json".into(),
-        cache_dir: None,
-        disk_cache: true,
-        top: false,
-        once: false,
-        refresh_ms: 150,
-        slo: false,
-        monitor: false,
-        flight_out: None,
-    };
-    let mut it = std::env::args().skip(2).peekable();
-    // `topsexec fleet top ...` is the dashboard form of the command.
-    if it.peek().map(String::as_str) == Some("top") {
-        it.next();
-        args.top = true;
-    }
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        let parse_num = |flag: &str, v: String| -> Result<f64, String> {
-            v.parse().map_err(|_| format!("{flag} needs a number"))
-        };
-        let parse_int = |flag: &str, v: String| -> Result<usize, String> {
-            v.parse().map_err(|_| format!("{flag} needs an integer"))
-        };
-        match a.as_str() {
-            "--models" | "--model" => {
-                args.models = value("--models")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--chips" => args.chips = parse_int("--chips", value("--chips")?)?,
-            "--cards" => args.cards = parse_int("--cards", value("--cards")?)?,
-            "--qps" => args.qps = Some(parse_qps(&value("--qps")?)?),
-            "--duration" => args.duration_ms = parse_num("--duration", value("--duration")?)?,
-            "--epoch" => args.epoch_ms = parse_num("--epoch", value("--epoch")?)?,
-            "--replicas" => args.replicas = parse_int("--replicas", value("--replicas")?)?,
-            "--deadline" => args.deadline_ms = parse_num("--deadline", value("--deadline")?)?,
-            "--queue-depth" => {
-                args.queue_depth = parse_int("--queue-depth", value("--queue-depth")?)?
-            }
-            "--cells" => args.cells = parse_int("--cells", value("--cells")?)?,
-            "--no-roll" => args.roll = false,
-            "--roll-start" => {
-                args.roll_start = Some(parse_num("--roll-start", value("--roll-start")?)?)
-            }
-            "--roll-chips" => {
-                args.roll_chips = Some(parse_int("--roll-chips", value("--roll-chips")?)?)
-            }
-            "--kill-chip" => {
-                args.kill_chip = Some(parse_int("--kill-chip", value("--kill-chip")?)?)
-            }
-            "--kill-at" => args.kill_at = Some(parse_num("--kill-at", value("--kill-at")?)?),
-            "--seed" => args.seed = parse_int("--seed", value("--seed")?)? as u64,
-            "--chip" => args.chip = value("--chip")?,
-            "--jobs" | "-j" => args.jobs = parse_int("--jobs", value("--jobs")?)?,
-            "--format" => args.format = value("--format")?,
-            "--cache-dir" => args.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--no-disk-cache" => args.disk_cache = false,
-            "--once" => args.once = true,
-            "--refresh-ms" => {
-                args.refresh_ms = parse_int("--refresh-ms", value("--refresh-ms")?)? as u64
-            }
-            "--slo" => args.slo = true,
-            "--monitor" => args.monitor = true,
-            "--flight-out" => args.flight_out = Some(value("--flight-out")?),
-            "--help" | "-h" => return Err(String::new()),
-            name if !name.starts_with('-') => args.models.push(name.to_string()),
-            other => return Err(format!("unknown fleet flag '{other}'")),
-        }
-    }
-    if args.models.is_empty() {
-        args.models.push("resnet50".into());
-    }
-    if args.cards == 0 || args.chips == 0 || !args.chips.is_multiple_of(args.cards) {
-        return Err(format!(
-            "--chips {} must divide evenly over --cards {}",
-            args.chips, args.cards
-        ));
-    }
-    if !matches!(args.format.as_str(), "table" | "json" | "prom") {
-        return Err(format!(
-            "--format must be table, json, or prom, got '{}'",
-            args.format
-        ));
-    }
-    if args.once && !args.top {
-        return Err("--once only applies to `fleet top`".into());
-    }
-    Ok(args)
-}
-
-/// One fleet dashboard frame: per-tenant then per-chip rows aggregated
-/// over the trailing fast burn window.
 fn render_fleet_top(frame: &FleetFrame) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -2421,7 +1821,6 @@ fn render_fleet_top(frame: &FleetFrame) -> String {
     out
 }
 
-/// Stderr chatter for a monitored fleet run: alerts, offenders, dumps.
 fn report_fleet_monitor(mon: &FleetMonitor) {
     for a in mon.alerts() {
         let scope = match (a.chip, a.tenant) {
@@ -2454,50 +1853,56 @@ fn report_fleet_monitor(mon: &FleetMonitor) {
     );
 }
 
-fn run_fleet_cmd() -> ExitCode {
-    let args = match parse_fleet_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
-            }
-            eprintln!("{}", usage());
-            return ExitCode::FAILURE;
-        }
+fn run_fleet_cmd(argv: &[String]) -> Result<(), CliError> {
+    // `topsexec fleet top ...` is the dashboard form of the command.
+    let (top, argv) = match argv.split_first() {
+        Some((first, rest)) if first == "top" => (true, rest),
+        _ => (false, argv),
     };
-    let chip_cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    let mut args = Fleet::new();
+    scan(argv, "fleet ", &[("--model", "--models")], |flag, s| {
+        if !flag.starts_with('-') {
+            args.models.push(flag.into());
+            return Ok(true);
         }
-    };
-    let topology = match FleetTopology::homogeneous(args.cards, args.chips / args.cards, &chip_cfg)
-    {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        args.flag(flag, s)
+    })
+    .map_err(CliError::Usage)?;
+    if args.models.is_empty() {
+        args.models.push("resnet50".into());
+    }
+    let usage = |e: String| Err(CliError::Usage(e));
+    if args.cards == 0 || args.chips == 0 || !args.chips.is_multiple_of(args.cards) {
+        let (chips, cards) = (args.chips, args.cards);
+        return usage(format!(
+            "--chips {chips} must divide evenly over --cards {cards}"
+        ));
+    }
+    if !matches!(args.format.as_str(), "table" | "json" | "prom") {
+        let format = &args.format;
+        return usage(format!(
+            "--format must be table, json, or prom, got '{format}'"
+        ));
+    }
+    if args.once && !top {
+        return usage("--once only applies to `fleet top`".into());
+    }
+    let chip_cfg = chip_by_name(&args.chip)?;
+    let topology =
+        FleetTopology::homogeneous(args.cards, args.chips / args.cards, &chip_cfg).map_err(fail)?;
     let qps_total = args.qps.unwrap_or(7_500.0 * topology.len() as f64);
     let qps_per_model = qps_total / args.models.len() as f64;
-    let mut tenants = Vec::new();
-    for name in &args.models {
-        let Some(m) = model_by_name(name) else {
-            eprintln!("error: unknown model '{name}'\n\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        let mut tenant = FleetTenant::new(
-            SweepModel::new(name.clone(), move |b| m.build(b)),
-            qps_per_model,
-        );
-        tenant.replicas = args.replicas;
-        tenant.deadline_ms = args.deadline_ms;
-        tenant.queue_depth = args.queue_depth;
-        tenants.push(tenant);
-    }
-    let cache = artifact_cache(args.cache_dir.as_ref(), args.disk_cache);
+    let tenants: Vec<FleetTenant> = table_models(&args.models)?
+        .into_iter()
+        .map(|m| {
+            let mut tenant = FleetTenant::new(m, qps_per_model);
+            tenant.replicas = args.replicas;
+            tenant.deadline_ms = args.deadline_ms;
+            tenant.queue_depth = args.queue_depth;
+            tenant
+        })
+        .collect();
+    let cache = artifact_cache(args.cache_dir.as_deref(), args.disk_cache);
     let cfg = FleetConfig {
         duration_ms: args.duration_ms,
         epoch_ms: args.epoch_ms,
@@ -2519,39 +1924,28 @@ fn run_fleet_cmd() -> ExitCode {
     // The dashboard, compliance report, and flight dump all need the
     // fleet monitor; a plain run skips it entirely. Either way the
     // stdout report is byte-identical — the monitor is observational.
-    let monitored = args.top || args.slo || args.monitor || args.flight_out.is_some();
+    let monitored = top || args.slo || args.monitor || args.flight_out.is_some();
     let started = std::time::Instant::now();
-    let result = if monitored {
+    let (report, monitor) = if monitored {
         run_fleet_monitored(&topology, &tenants, &cfg, &cache, args.jobs).map(|(r, m)| (r, Some(m)))
     } else {
         run_fleet(&topology, &tenants, &cfg, &cache, args.jobs).map(|r| (r, None))
-    };
-    let (report, monitor) = match result {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("fleet error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+    .map_err(step_error("fleet"))?;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Everything on stdout is schedule-independent; the wall-clock
     // chatter and cache tally stay on stderr.
-    if args.top {
-        let mon = monitor.as_ref().expect("top runs monitored");
+    if top {
+        let frames = monitor.as_ref().expect("top runs monitored").frames();
         if args.once {
-            if let Some(f) = mon.frames().last() {
+            if let Some(f) = frames.last() {
                 print!("{}", render_fleet_top(f));
             }
         } else {
             // The run is already simulated; replay it one routing
             // epoch per frame against the retained rollups.
-            for f in mon.frames() {
-                print!("\x1b[2J\x1b[H{}", render_fleet_top(f));
-                use std::io::Write;
-                let _ = std::io::stdout().flush();
-                std::thread::sleep(std::time::Duration::from_millis(args.refresh_ms));
-            }
+            replay(frames.iter().map(render_fleet_top), args.refresh_ms);
         }
     } else if args.slo {
         let mon = monitor.as_ref().expect("--slo runs monitored");
@@ -2594,157 +1988,43 @@ fn run_fleet_cmd() -> ExitCode {
             }
             // A whole-chip loss is the incident the operator came for:
             // prefer its black box over an earlier burn-rate page.
-            let dump = mon
-                .dumps()
-                .iter()
-                .find(|d| d.reason.contains("killed"))
-                .or_else(|| mon.dumps().first())
-                .expect("just ensured");
-            if let Err(e) = std::fs::write(path, dump.to_chrome_trace(true)) {
-                eprintln!("error: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "[fleet] flight dump `{}` ({} spans at t={:.2}s) written to {path}",
-                dump.reason,
-                dump.spans.len(),
-                dump.at_ns / 1e9
-            );
+            write_flight_dump(mon.dumps(), &["killed"], path, "fleet")?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    match std::env::args().nth(1).as_deref() {
-        Some("serve") => {
-            // `serve --generative` (or `--llm`) is the continuous-
-            // batching token-level engine; plain `serve` stays the
-            // multi-tenant request-level scenario.
-            if std::env::args().any(|a| a == "--generative" || a == "--llm") {
-                return run_genserve();
-            }
-            return run_serve();
-        }
-        Some("profile") => return run_profile(),
-        Some("sweep") => return run_sweep_cmd(),
-        Some("faults") => return run_faults(),
-        Some("top") => {
-            // `top --generative` (or `--llm`) replays the token-level
-            // monitor; plain `top` stays the request-level dashboard.
-            if std::env::args().any(|a| a == "--generative" || a == "--llm") {
-                return run_gen_top();
-            }
-            return run_top();
-        }
-        Some("slo") => return run_slo(),
-        Some("fleet") => return run_fleet_cmd(),
-        _ => {}
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}\n");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // `serve` and `top` with `--generative` (or `--llm`) run the
+    // continuous-batching token-level engine; without it they stay
+    // the multi-tenant request-level scenario.
+    let generative = argv.iter().any(|a| a == "--generative" || a == "--llm");
+    let rest = argv.get(1..).unwrap_or_default();
+    let result = match argv.first().map(String::as_str) {
+        Some("serve") if generative => run_genserve(rest),
+        Some("serve") => run_serve(rest),
+        Some("top") if generative => run_gen_top(rest),
+        Some("top") => run_top(rest),
+        Some("profile") => run_profile(rest),
+        Some("sweep") => run_sweep_cmd(rest),
+        Some("faults") => run_faults(rest),
+        Some("slo") => run_slo(rest),
+        Some("fleet") => run_fleet_cmd(rest),
+        _ => run_measure(&argv),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Usage(reason)) => {
+            if !reason.is_empty() {
+                eprintln!("error: {reason}\n");
             }
             eprintln!("{}", usage());
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    let graph = match load_graph(args.model.as_deref(), args.import.as_deref(), args.batch) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+        Err(CliError::Run(message)) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
-    };
-
-    let mut cfg = match chip_by_name(&args.chip) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.no_power_management {
-        cfg.features.power_management = false;
     }
-    let accel = match Accelerator::with_config(cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let size = match workload_size(args.groups) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let options = SessionOptions {
-        size,
-        batch: args.batch,
-        ..Default::default()
-    };
-
-    println!("=== topsexec ===");
-    println!("accelerator : {accel}");
-    println!("model       : {graph}");
-    println!("batch       : {}", args.batch);
-
-    let session = match Session::compile(&accel, &graph, options) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "compiled    : {} commands over {} streams",
-        session.program().total_commands(),
-        session.program().streams.len()
-    );
-
-    let (report, timeline) = match session.run_traced() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("run error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("\n--- measurements ---");
-    println!("latency      : {:.3} ms", report.latency_ms());
-    println!("throughput   : {:.1} samples/s", report.throughput());
-    println!("avg power    : {:.1} W", report.average_watts());
-    println!("energy/sample: {:.4} J", 1.0 / report.samples_per_joule());
-    println!("mean clock   : {:.0} MHz", report.mean_freq_mhz());
-    let c = report.raw().counters;
-    println!(
-        "kernels      : {} launches, icache hit rate {:.0}%",
-        c.kernel_launches,
-        c.icache_hit_rate() * 100.0
-    );
-    println!(
-        "dma          : {} transfers, {:.1} MiB on the wire",
-        c.dma_transfers,
-        c.dma_wire_bytes as f64 / (1024.0 * 1024.0)
-    );
-
-    if args.profile {
-        println!("\n--- profile ---");
-        println!("{}", timeline.report(10));
-    }
-    if let Some(path) = &args.trace {
-        if let Err(e) = std::fs::write(path, timeline.to_chrome_trace()) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\ntrace written to {path} (open in chrome://tracing)");
-    }
-    ExitCode::SUCCESS
 }

@@ -110,3 +110,21 @@ fn rejections_name_the_bad_value() {
         );
     }
 }
+
+#[test]
+fn import_with_overflowing_dims_exits_1() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("overflowing_dims.tops");
+    let model = "model m\ninput x fp16 99999999999999999999999x4\nrelu r x\noutput r\n";
+    std::fs::write(&path, model).expect("temp dir is writable");
+    let out = Command::new(env!("CARGO_BIN_EXE_topsexec"))
+        .arg("--import")
+        .arg(&path)
+        .output()
+        .expect("topsexec starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && out.stdout.is_empty(),
+        "{stderr}"
+    );
+}

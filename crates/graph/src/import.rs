@@ -98,7 +98,12 @@ fn parse_dims(s: &str, line: usize) -> Result<Vec<Dim>, ImportError> {
                     reason: "empty dimension".into(),
                 })
             } else if tok.chars().all(|c| c.is_ascii_digit()) {
-                Ok(Dim::Fixed(tok.parse().expect("digits only")))
+                tok.parse()
+                    .map(Dim::Fixed)
+                    .map_err(|_| ImportError::Syntax {
+                        line,
+                        reason: format!("dimension '{tok}' overflows usize"),
+                    })
             } else if tok.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
                 Ok(Dim::Dynamic(tok.to_string()))
             } else {

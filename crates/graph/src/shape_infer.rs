@@ -7,12 +7,43 @@
 use crate::graph::GraphError;
 use crate::op::{Dim, Op, PoolKind, TensorType};
 
+fn fail(reason: String) -> GraphError {
+    GraphError::ShapeInference { reason }
+}
+
 /// Applies the conv output-size formula to one spatial dim.
-fn conv_out(dim: &Dim, kernel: usize, stride: usize, padding: usize) -> Dim {
-    match dim {
-        Dim::Fixed(n) => Dim::Fixed((n + 2 * padding - kernel) / stride + 1),
-        Dim::Dynamic(name) => Dim::Dynamic(format!("conv({name})")),
+fn conv_out(dim: &Dim, kernel: usize, stride: usize, padding: usize) -> Result<Dim, GraphError> {
+    if stride == 0 {
+        return Err(fail("stride must be positive".into()));
     }
+    let n = match dim {
+        Dim::Fixed(n) => *n,
+        Dim::Dynamic(name) => return Ok(Dim::Dynamic(format!("conv({name})"))),
+    };
+    match padding.checked_mul(2).and_then(|p| p.checked_add(n)) {
+        Some(padded) if padded >= kernel => Ok(Dim::Fixed((padded - kernel) / stride + 1)),
+        Some(padded) => Err(fail(format!(
+            "kernel {kernel} is larger than the padded input {padded}"
+        ))),
+        None => Err(fail(format!("padding {padding} overflows usize"))),
+    }
+}
+
+/// Rejects a type whose fixed byte size overflows usize.
+fn fits(ty: TensorType) -> Result<TensorType, GraphError> {
+    let mut fixed = ty.dims.iter().filter_map(Dim::value);
+    match fixed.try_fold(ty.dtype.size_bytes(), usize::checked_mul) {
+        Some(_) => Ok(ty),
+        None => Err(fail(format!("{ty} has more bytes than usize holds"))),
+    }
+}
+
+/// Checked `a * b + c` for one output extent.
+fn extent(a: usize, b: usize, c: usize) -> Result<Dim, GraphError> {
+    a.checked_mul(b)
+        .and_then(|v| v.checked_add(c))
+        .map(Dim::Fixed)
+        .ok_or_else(|| fail(format!("extent {a}x{b} overflows usize")))
 }
 
 /// Infers the output type of `op` given its input types.
@@ -21,9 +52,13 @@ fn conv_out(dim: &Dim, kernel: usize, stride: usize, padding: usize) -> Dim {
 ///
 /// Returns [`GraphError::ShapeInference`] when the inputs are malformed
 /// for the operator (wrong rank, mismatched shapes, bad axis, channel
-/// count not divisible by groups, ...).
+/// count not divisible by groups, a zero stride, a kernel larger than
+/// its padded input, a size that overflows usize, ...).
 pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, GraphError> {
-    let fail = |reason: String| GraphError::ShapeInference { reason };
+    infer_op(op, inputs).and_then(fits)
+}
+
+fn infer_op(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, GraphError> {
     let one = |inputs: &[&TensorType]| -> Result<TensorType, GraphError> {
         inputs
             .first()
@@ -44,6 +79,9 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
             if x.rank() != 4 {
                 return Err(fail(format!("conv2d expects rank-4 input, got {x}")));
             }
+            if *groups == 0 {
+                return Err(fail("groups must be positive".into()));
+            }
             if let Some(c) = x.dims[1].value() {
                 if c % groups != 0 {
                     return Err(fail(format!(
@@ -61,8 +99,8 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
                 dims: vec![
                     x.dims[0].clone(),
                     Dim::Fixed(*out_channels),
-                    conv_out(&x.dims[2], *kernel, *stride, *padding),
-                    conv_out(&x.dims[3], *kernel, *stride, *padding),
+                    conv_out(&x.dims[2], *kernel, *stride, *padding)?,
+                    conv_out(&x.dims[3], *kernel, *stride, *padding)?,
                 ],
             })
         }
@@ -75,19 +113,22 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
             if x.rank() != 4 {
                 return Err(fail(format!("deconv expects rank-4 input, got {x}")));
             }
+            if *stride == 0 {
+                return Err(fail("stride must be positive".into()));
+            }
             let up = |d: &Dim| match d {
                 // Standard transposed-conv output size with padding chosen
                 // for exact stride-multiple upsampling.
-                Dim::Fixed(n) => Dim::Fixed(n * stride + kernel.saturating_sub(*stride)),
-                Dim::Dynamic(name) => Dim::Dynamic(format!("deconv({name})")),
+                Dim::Fixed(n) => extent(*n, *stride, kernel.saturating_sub(*stride)),
+                Dim::Dynamic(name) => Ok(Dim::Dynamic(format!("deconv({name})"))),
             };
             Ok(TensorType {
                 dtype: x.dtype,
                 dims: vec![
                     x.dims[0].clone(),
                     Dim::Fixed(*out_channels),
-                    up(&x.dims[2]),
-                    up(&x.dims[3]),
+                    up(&x.dims[2])?,
+                    up(&x.dims[3])?,
                 ],
             })
         }
@@ -165,8 +206,8 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
                     dims: vec![
                         x.dims[0].clone(),
                         x.dims[1].clone(),
-                        conv_out(&x.dims[2], *kernel, *stride, 0),
-                        conv_out(&x.dims[3], *kernel, *stride, 0),
+                        conv_out(&x.dims[2], *kernel, *stride, 0)?,
+                        conv_out(&x.dims[3], *kernel, *stride, 0)?,
                     ],
                 }),
             }
@@ -177,16 +218,16 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
                 return Err(fail(format!("upsample expects rank-4 input, got {x}")));
             }
             let up = |d: &Dim| match d {
-                Dim::Fixed(n) => Dim::Fixed(n * scale),
-                Dim::Dynamic(name) => Dim::Dynamic(format!("{scale}x({name})")),
+                Dim::Fixed(n) => extent(*n, *scale, 0),
+                Dim::Dynamic(name) => Ok(Dim::Dynamic(format!("{scale}x({name})"))),
             };
             Ok(TensorType {
                 dtype: x.dtype,
                 dims: vec![
                     x.dims[0].clone(),
                     x.dims[1].clone(),
-                    up(&x.dims[2]),
-                    up(&x.dims[3]),
+                    up(&x.dims[2])?,
+                    up(&x.dims[3])?,
                 ],
             })
         }
@@ -211,7 +252,11 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
                     }
                 }
                 match t.dims[*axis].value() {
-                    Some(v) => total += v,
+                    Some(v) => {
+                        total = total
+                            .checked_add(v)
+                            .ok_or_else(|| fail("concat extent overflows usize".into()))?
+                    }
                     None => all_fixed = false,
                 }
             }
@@ -250,10 +295,10 @@ pub fn infer_node_shape(op: &Op, inputs: &[&TensorType]) -> Result<TensorType, G
         Op::Reshape { dims } => {
             let x = one(inputs)?;
             // When both sides are fully fixed, check element counts.
-            let out = TensorType {
+            let out = fits(TensorType {
                 dtype: x.dtype,
                 dims: dims.clone(),
-            };
+            })?;
             if let (Some(a), Some(b)) = (x.len(), out.len()) {
                 if a != b {
                     return Err(fail(format!("reshape {a} elements into {b}")));
