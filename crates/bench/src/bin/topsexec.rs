@@ -41,7 +41,9 @@ use dtu::telemetry::{
     AlertEvent, AlertKind, AttributionReport, FlightDump, FlightRecorder, Recorder, SloSpec,
     TraceBuffer,
 };
-use dtu::{Accelerator, ChipConfig, DataType, Graph, Session, SessionOptions, WorkloadSize};
+use dtu::{
+    Accelerator, ChipConfig, DataType, DtuError, Graph, Session, SessionOptions, WorkloadSize,
+};
 use dtu_fleet::{
     run_fleet, run_fleet_monitored, ChipKill, FleetConfig, FleetFrame, FleetMonitor, FleetTenant,
     FleetTopology, RollPlan,
@@ -282,6 +284,12 @@ fn fail(e: impl std::fmt::Display) -> CliError {
 /// A run failure of a `what` step, reported as `<what> error: <e>`.
 fn step_error<E: std::fmt::Display>(what: &'static str) -> impl Fn(E) -> CliError {
     move |e| CliError::Run(format!("{what} error: {e}"))
+}
+
+/// A session failure, printed as it stands: a `DtuError` already names
+/// its layer (`compile error: …`, `simulation error: …`).
+fn run_error(e: DtuError) -> CliError {
+    CliError::Run(e.to_string())
 }
 
 fn write_file(path: &str, payload: impl AsRef<[u8]>) -> Result<(), CliError> {
@@ -624,7 +632,13 @@ impl Target {
                 let path = path.as_deref().expect("validated");
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| fail(format!("cannot read {path}: {e}")))?;
-                parse_model(&text).map_err(|e| fail(format!("{path}: {e}")))?
+                // Shapes are checked here, so a model that cannot
+                // compile fails before any report line is printed.
+                let graph = parse_model(&text).map_err(|e| fail(format!("{path}: {e}")))?;
+                graph
+                    .infer_shapes()
+                    .map_err(|e| fail(format!("{path}: {e}")))?;
+                graph
             }
         };
         let accel = accelerator(&self.chip, self.no_power_management)?;
@@ -669,14 +683,14 @@ fn run_measure(argv: &[String]) -> Result<(), CliError> {
     println!("model       : {graph}");
     println!("batch       : {}", target.batch);
 
-    let session = Session::compile(&accel, &graph, options).map_err(step_error("compile"))?;
+    let session = Session::compile(&accel, &graph, options).map_err(run_error)?;
     println!(
         "compiled    : {} commands over {} streams",
         session.program().total_commands(),
         session.program().streams.len()
     );
 
-    let (report, timeline) = session.run_traced().map_err(step_error("run"))?;
+    let (report, timeline) = session.run_traced().map_err(run_error)?;
 
     println!("\n--- measurements ---");
     println!("latency      : {:.3} ms", report.latency_ms());
@@ -740,9 +754,9 @@ fn run_profile(argv: &[String]) -> Result<(), CliError> {
     // Compiler phases, the session envelope, and the simulator's
     // kernel/DMA/sync spans all land in one buffer on one clock.
     let mut buf = TraceBuffer::new();
-    let session = Session::compile_recorded(&accel, &graph, options, &mut buf)
-        .map_err(step_error("compile"))?;
-    let report = session.run_recorded(&mut buf).map_err(step_error("run"))?;
+    let session =
+        Session::compile_recorded(&accel, &graph, options, &mut buf).map_err(run_error)?;
+    let report = session.run_recorded(&mut buf).map_err(run_error)?;
 
     let groups = target
         .groups

@@ -128,3 +128,28 @@ fn import_with_overflowing_dims_exits_1() {
         "{stderr}"
     );
 }
+
+#[test]
+fn import_failing_shape_inference_exits_1_before_any_output() {
+    // Parses, but a 99x99 kernel does not fit the 8x8 input.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("oversized_kernel.tops");
+    let model = "model m\ninput x fp16 1x4x8x8\nconv c x out=4 k=99\noutput c\n";
+    std::fs::write(&path, model).expect("temp dir is writable");
+    for mode in [&[][..], &["profile"][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_topsexec"))
+            .args(mode)
+            .arg("--import")
+            .arg(&path)
+            .output()
+            .expect("topsexec starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{mode:?}: report printed before the failure"
+        );
+        let prefixes =
+            stderr.matches("compile error").count() + stderr.matches("shape inference").count();
+        assert_eq!(prefixes, 1, "{mode:?}: {stderr}");
+    }
+}

@@ -67,14 +67,26 @@ impl Fnv1a {
         self.write(&v.to_le_bytes());
     }
 
-    /// Folds any `Debug` value via its structural rendering.
+    /// Folds any `Debug` value via its structural rendering, chunk by
+    /// chunk as the formatter produces it (no intermediate `String`).
     pub fn write_debug(&mut self, v: &dyn std::fmt::Debug) {
-        self.write_str(&format!("{v:?}"));
+        use std::fmt::Write as _;
+        write!(DebugSink(self), "{v:?}").expect("hashing cannot fail");
     }
 
     /// The current 64-bit hash value.
     pub fn finish(self) -> u64 {
         self.0
+    }
+}
+
+/// Folds formatter output straight into an [`Fnv1a`] state.
+struct DebugSink<'a>(&'a mut Fnv1a);
+
+impl std::fmt::Write for DebugSink<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.write_str(s);
+        Ok(())
     }
 }
 
@@ -156,6 +168,17 @@ mod tests {
         assert_ne!(base, session_fingerprint(&toy(1), &chip, &p1, &cfg, 1));
         // Batch change.
         assert_ne!(base, session_fingerprint(&toy(1), &chip, &p, &cfg, 2));
+    }
+
+    #[test]
+    fn toy_session_fingerprint_is_pinned() {
+        // Cache keys and artifact file names derive from this value; a
+        // change to how ingredients are hashed must not move it.
+        let chip = ChipConfig::dtu20();
+        let p = Placement::full_chip(&chip);
+        let cfg = CompilerConfig::for_chip(&chip);
+        let key = session_fingerprint(&toy(1), &chip, &p, &cfg, 1);
+        assert_eq!(key, 0x4dd7_973d_8ccf_2e8d);
     }
 
     #[test]

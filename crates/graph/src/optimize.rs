@@ -15,9 +15,10 @@
 //! [`optimize`] runs the passes to a fixed point and reports what it
 //! removed.
 
-use crate::graph::{Graph, GraphError, NodeId};
-use crate::op::Op;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::graph::{Graph, GraphError, Node, NodeId};
+use crate::op::{Op, TensorType};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::mem::discriminant;
 
 /// What one [`optimize`] run eliminated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,6 +31,9 @@ pub struct OptimizeStats {
     pub cse_merged: usize,
     /// Fixed-point iterations taken.
     pub iterations: usize,
+    /// Whole-graph shape inferences run (at most one per iteration,
+    /// and only in iterations that meet a reshape).
+    pub shape_passes: usize,
 }
 
 impl OptimizeStats {
@@ -39,9 +43,17 @@ impl OptimizeStats {
     }
 }
 
-/// Structural key for CSE: the op's debug form plus its input ids.
-fn cse_key(op: &Op, inputs: &[NodeId]) -> String {
-    format!("{op:?}|{inputs:?}")
+/// Whether CSE may merge two ops: structural equality, except that
+/// `LeakyRelu` slopes compare by bit pattern (`0.0` and `-0.0` stay
+/// apart) and any two NaN slopes match, which is exactly when their
+/// `Debug` renderings match.
+fn same_op(a: &Op, b: &Op) -> bool {
+    match (a, b) {
+        (Op::LeakyRelu { alpha: x }, Op::LeakyRelu { alpha: y }) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        _ => a == b,
+    }
 }
 
 /// Whether an op may be CSE-merged: only ops without learned parameters.
@@ -61,8 +73,13 @@ fn cse_eligible(op: &Op) -> bool {
 }
 
 /// Whether a node is a no-op given its input/output types, returning the
-/// input it forwards.
-fn identity_forward(graph: &Graph, id: NodeId) -> Result<Option<NodeId>, GraphError> {
+/// input it forwards. `shapes` is the graph's shape map, inferred on the
+/// first reshape that needs it and reused for the rest of the pass.
+fn identity_forward(
+    graph: &Graph,
+    id: NodeId,
+    shapes: &mut Option<BTreeMap<NodeId, TensorType>>,
+) -> Result<Option<NodeId>, GraphError> {
     let node = graph.node(id)?;
     let forwarded = match &node.op {
         Op::Transpose { perm } => {
@@ -86,7 +103,10 @@ fn identity_forward(graph: &Graph, id: NodeId) -> Result<Option<NodeId>, GraphEr
         }
         Op::Reshape { dims } => {
             // Reshape to the producer's own (fully fixed) shape.
-            let shapes = graph.infer_shapes()?;
+            let shapes = match shapes {
+                Some(shapes) => shapes,
+                None => shapes.insert(graph.infer_shapes()?),
+            };
             let src = &shapes[&node.inputs[0]];
             if src.is_fully_fixed() && src.dims == *dims {
                 Some(node.inputs[0])
@@ -158,18 +178,22 @@ pub fn optimize(graph: &Graph) -> Result<(Graph, OptimizeStats), GraphError> {
 
         // --- identity elimination ---
         let mut replace: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+        let mut shapes = None;
         for node in current.nodes() {
             if current.outputs().contains(&node.id) {
                 continue; // outputs keep their identity
             }
-            if let Some(fwd) = identity_forward(&current, node.id)? {
+            if let Some(fwd) = identity_forward(&current, node.id, &mut shapes)? {
                 replace.insert(node.id, fwd);
             }
         }
         stats.identity_ops += replace.len();
+        stats.shape_passes += usize::from(shapes.is_some());
 
         // --- CSE ---
-        let mut seen: BTreeMap<String, NodeId> = BTreeMap::new();
+        // Candidates bucketed by op kind and inputs; a bucket holds the
+        // first node of each distinct op, which later twins merge into.
+        let mut seen: HashMap<_, Vec<&Node>> = HashMap::new();
         for node in current.nodes() {
             if matches!(node.op, Op::Input { .. })
                 || replace.contains_key(&node.id)
@@ -183,16 +207,14 @@ pub fn optimize(graph: &Graph) -> Result<(Graph, OptimizeStats), GraphError> {
                 .iter()
                 .map(|&i| *replace.get(&i).unwrap_or(&i))
                 .collect();
-            let key = cse_key(&node.op, &inputs);
-            match seen.get(&key) {
-                Some(&twin) if !current.outputs().contains(&node.id) => {
-                    replace.insert(node.id, twin);
+            let bucket = seen.entry((discriminant(&node.op), inputs)).or_default();
+            match bucket.iter().find(|twin| same_op(&twin.op, &node.op)) {
+                Some(twin) if !current.outputs().contains(&node.id) => {
+                    replace.insert(node.id, twin.id);
                     stats.cse_merged += 1;
                 }
                 Some(_) => {}
-                None => {
-                    seen.insert(key, node.id);
-                }
+                None => bucket.push(node),
             }
         }
 
@@ -436,6 +458,145 @@ mod tests {
         );
         // Still fusable afterwards.
         fuse(&opt, &FusionConfig::default()).unwrap();
+    }
+
+    /// Optimises `a` and `b`, both over `x`, summed into the output.
+    fn twins(a: Op, b: Op) -> OptimizeStats {
+        let (mut g, x) = base();
+        let n1 = g.add_node(a, vec![x]).unwrap();
+        let n2 = g.add_node(b, vec![x]).unwrap();
+        let kind = BinaryKind::Add;
+        let s = g.add_node(Op::Binary { kind }, vec![n1, n2]).unwrap();
+        g.mark_output(s);
+        optimize(&g).unwrap().1
+    }
+
+    #[test]
+    fn cse_merges_leaky_relus_with_equal_slopes() {
+        let leaky = |alpha| Op::LeakyRelu { alpha };
+        assert_eq!(twins(leaky(0.1), leaky(0.1)).cse_merged, 1);
+        assert_eq!(twins(leaky(0.1), leaky(0.2)).cse_merged, 0);
+        // Equal as floats but rendered differently: never merged.
+        assert_eq!(twins(leaky(0.0), leaky(-0.0)).cse_merged, 0);
+    }
+
+    #[test]
+    fn cse_keeps_transposes_with_different_perms() {
+        let perm = |perm: &[usize]| Op::Transpose {
+            perm: perm.to_vec(),
+        };
+        assert_eq!(
+            twins(perm(&[0, 2, 3, 1]), perm(&[0, 3, 1, 2])).cse_merged,
+            0
+        );
+        assert_eq!(
+            twins(perm(&[0, 2, 3, 1]), perm(&[0, 2, 3, 1])).cse_merged,
+            1
+        );
+    }
+
+    #[test]
+    fn cse_matches_exactly_the_debug_rendering() {
+        use crate::op::Dim;
+        let ops = [
+            Op::Relu,
+            Op::Softmax,
+            Op::LeakyRelu { alpha: 0.1 },
+            Op::LeakyRelu { alpha: 0.2 },
+            Op::LeakyRelu { alpha: 0.0 },
+            Op::LeakyRelu { alpha: -0.0 },
+            Op::LeakyRelu { alpha: f32::NAN },
+            Op::LeakyRelu { alpha: -f32::NAN },
+            Op::Transpose { perm: vec![1, 0] },
+            Op::Reshape {
+                dims: vec![Dim::Fixed(2)],
+            },
+            Op::Reshape {
+                dims: vec![Dim::Dynamic("2".into())],
+            },
+            Op::Pool {
+                kind: crate::op::PoolKind::Max,
+                kernel: 2,
+                stride: 2,
+            },
+        ];
+        for a in &ops {
+            for b in &ops {
+                assert_eq!(
+                    same_op(a, b),
+                    format!("{a:?}") == format!("{b:?}"),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn output_twin_is_never_merged_away() {
+        let (mut g, x) = base();
+        let r1 = g.add_node(Op::Relu, vec![x]).unwrap();
+        let r2 = g.add_node(Op::Relu, vec![x]).unwrap();
+        let r3 = g.add_node(Op::Relu, vec![x]).unwrap();
+        let kind = BinaryKind::Add;
+        let s = g.add_node(Op::Binary { kind }, vec![r1, r3]).unwrap();
+        g.mark_output(r2);
+        g.mark_output(s);
+        let (opt, stats) = optimize(&g).unwrap();
+        // r3 merges into the first twin, r1; the output r2 survives.
+        assert_eq!(stats.cse_merged, 1);
+        assert_eq!(opt.count_ops(|op| matches!(op, Op::Relu)), 2);
+        assert_eq!(opt.outputs().len(), 2);
+    }
+
+    #[test]
+    fn shapes_are_inferred_at_most_once_per_iteration() {
+        use crate::op::Dim;
+        let (mut g, x) = base();
+        let same = vec![Dim::Fixed(1), Dim::Fixed(4), Dim::Fixed(8), Dim::Fixed(8)];
+        let flat = vec![Dim::Fixed(1), Dim::Fixed(256)];
+        let mut cur = x;
+        for i in 0..64 {
+            // Every fourth reshape flattens and the next one restores
+            // the shape; the other half are identities.
+            let dims = if i % 4 == 1 {
+                flat.clone()
+            } else {
+                same.clone()
+            };
+            cur = g.add_node(Op::Reshape { dims }, vec![cur]).unwrap();
+            cur = g.add_node(Op::Relu, vec![cur]).unwrap();
+        }
+        g.mark_output(cur);
+        let (opt, stats) = optimize(&g).unwrap();
+        assert!(stats.identity_ops > 0);
+        assert!(stats.shape_passes >= 1);
+        assert!(
+            stats.shape_passes <= stats.iterations,
+            "{} shape passes over {} iterations",
+            stats.shape_passes,
+            stats.iterations
+        );
+        opt.infer_shapes().unwrap();
+    }
+
+    #[test]
+    fn shape_inference_runs_only_when_a_reshape_is_present() {
+        use crate::op::Dim;
+        // A kernel larger than its input fails shape inference.
+        let (mut g, x) = base();
+        let bad = g.add_node(Op::conv2d(4, 99, 1, 0), vec![x]).unwrap();
+        let r = g.add_node(Op::Relu, vec![bad]).unwrap();
+        g.mark_output(r);
+        let stats = optimize(&g).expect("no reshape, no shape inference").1;
+        assert_eq!(stats.shape_passes, 0);
+        let dims = vec![Dim::Fixed(1)];
+        let reshape = g.add_node(Op::Reshape { dims }, vec![r]).unwrap();
+        let out = g.add_node(Op::Relu, vec![reshape]).unwrap();
+        g.mark_output(out);
+        assert!(matches!(
+            optimize(&g),
+            Err(GraphError::ShapeInference { .. })
+        ));
     }
 
     #[test]

@@ -138,26 +138,29 @@ proptest! {
 }
 
 /// Builds a random layered CNN-ish DAG from a compact spec: each layer
-/// is (op_selector, input_back_offset).
+/// is (op_selector, input_back_offset). Selectors 0..6 are compute and
+/// element-wise layers; 6..10 add what the optimiser removes or merges:
+/// a reshape to the same shape (after a flatten-and-restore pair), an
+/// identity transpose, and twin `Relu`/`LeakyRelu` pairs summed
+/// together (`LeakyRelu` twins only match for an even back offset).
 fn random_graph(spec: &[(u8, u8)]) -> dtu_graph::Graph {
-    use dtu_graph::{BinaryKind, Graph, Op, TensorType};
+    use dtu_graph::{BinaryKind, Dim, Graph, Op, TensorType};
     let mut g = Graph::new("random");
     let mut nodes = vec![g.input("x", TensorType::fixed(&[1, 8, 16, 16]))];
+    let add = Op::Binary {
+        kind: BinaryKind::Add,
+    };
+    let reshape = |d: &[usize]| Op::Reshape {
+        dims: d.iter().map(|&n| Dim::Fixed(n)).collect(),
+    };
     for &(op_sel, back) in spec {
         let a = nodes[nodes.len() - 1 - (back as usize % nodes.len().min(3))];
         let last = *nodes.last().expect("non-empty");
-        let id = match op_sel % 6 {
+        let id = match op_sel % 10 {
             0 => g.add_node(Op::conv2d(8, 3, 1, 1), vec![a]).expect("legal"),
             1 => g.add_node(Op::Relu, vec![last]).expect("legal"),
             2 => g.add_node(Op::BatchNorm, vec![last]).expect("legal"),
-            3 => g
-                .add_node(
-                    Op::Binary {
-                        kind: BinaryKind::Add,
-                    },
-                    vec![last, a],
-                )
-                .expect("legal"),
+            3 => g.add_node(add.clone(), vec![last, a]).expect("legal"),
             4 => g
                 .add_node(
                     Op::Activation {
@@ -166,9 +169,40 @@ fn random_graph(spec: &[(u8, u8)]) -> dtu_graph::Graph {
                     vec![last],
                 )
                 .expect("legal"),
-            _ => g
+            5 => g
                 .add_node(Op::conv2d(8, 1, 1, 0), vec![last])
                 .expect("legal"),
+            6 => {
+                let flat = g
+                    .add_node(reshape(&[1, 8, 256]), vec![last])
+                    .expect("legal");
+                let restored = g
+                    .add_node(reshape(&[1, 8, 16, 16]), vec![flat])
+                    .expect("legal");
+                g.add_node(reshape(&[1, 8, 16, 16]), vec![restored])
+                    .expect("legal")
+            }
+            7 => g
+                .add_node(
+                    Op::Transpose {
+                        perm: vec![0, 1, 2, 3],
+                    },
+                    vec![last],
+                )
+                .expect("legal"),
+            8 => {
+                let r1 = g.add_node(Op::Relu, vec![a]).expect("legal");
+                let r2 = g.add_node(Op::Relu, vec![a]).expect("legal");
+                g.add_node(add.clone(), vec![r1, r2]).expect("legal")
+            }
+            _ => {
+                let alpha = if back % 2 == 0 { 0.1 } else { 0.2 };
+                let l1 = g
+                    .add_node(Op::LeakyRelu { alpha: 0.1 }, vec![a])
+                    .expect("legal");
+                let l2 = g.add_node(Op::LeakyRelu { alpha }, vec![a]).expect("legal");
+                g.add_node(add.clone(), vec![l1, l2]).expect("legal")
+            }
         };
         nodes.push(id);
     }
@@ -204,22 +238,27 @@ proptest! {
         }
     }
 
-    /// The optimiser preserves output shapes on arbitrary layered DAGs
-    /// and never grows the graph.
+    /// The optimiser preserves output shapes on arbitrary layered DAGs,
+    /// never grows the graph, infers shapes at most once per iteration,
+    /// and reaches a fixed point: a second run removes nothing.
     #[test]
     fn optimizer_preserves_semantics_on_random_graphs(
-        spec in prop::collection::vec((0u8..6, 0u8..3), 1..25)
+        spec in prop::collection::vec((0u8..10, 0u8..3), 1..25)
     ) {
         use dtu_graph::optimize;
         let g = random_graph(&spec);
         let before = g.infer_shapes().expect("valid");
-        let (opt, _) = optimize(&g).expect("optimises");
+        let (opt, stats) = optimize(&g).expect("optimises");
         let after = opt.infer_shapes().expect("still valid");
         prop_assert!(opt.len() <= g.len());
+        prop_assert!(stats.shape_passes <= stats.iterations);
         prop_assert_eq!(
             &before[g.outputs().last().expect("has output")],
             &after[opt.outputs().last().expect("has output")]
         );
+        let (again, again_stats) = optimize(&opt).expect("optimises again");
+        prop_assert_eq!(again_stats.total(), 0);
+        prop_assert_eq!(again, opt);
     }
 
     /// Compiled random graphs run to completion on the chip (no
